@@ -2,12 +2,14 @@
 
 Subcommands: bound | grid | herbrand | solve | verify.  Results go to
 stdout (JSON by default; text and csv where meaningful), diagnostics to
-stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or
-regime error.  Rationals are emitted as {"num": .., "den": ..}; output
+stderr.  Exit codes: 0 success, 1 verification failure, 2 usage, input
+or regime error.  Rationals are emitted as {"num": .., "den": ..}; output
 is byte-identical across runs except for the timing field.
 
-The enumeration budget comes from --budget or PADIC_RAMLAB_BUDGET
-(default 10^6).
+The budget comes from --budget or PADIC_RAMLAB_BUDGET (default 10^6).
+For solve it bounds the p^r solutions that are materialized and lifted;
+the full coefficient grid (p^f)^(d(m+1)) is bounded only where the
+enumerate_jc oracle scans it (verify approx1).
 """
 
 import argparse

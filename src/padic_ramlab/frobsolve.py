@@ -16,10 +16,18 @@ tilt ring and the untilted cyclotomic ring; in the latter the p-th
 power of a sum has no mixed terms (characteristic p), so the binomial
 cross terms of the classical iteration vanish identically.
 
+The solver finds its candidates by linear algebra: the defect map
+x -> phi(x) - x F is F_p-linear (phi is additive in characteristic p,
+x F is k-linear), so the approximate solutions at the injectivity cut b
+are the kernel of one F_p-linear map, computed by Gauss-Jordan
+elimination mod p.  The budget bounds the p^r kernel elements that are
+materialized and lifted.
+
 enumerate_jc is the deliberately brute-force oracle: a full grid scan
-of coefficient vectors against the congruence, guarded by a budget.  No
-semilinear-algebra shortcut is taken on this path; it is what the
-contraction solver is validated against.
+of coefficient vectors against the congruence, guarded by a budget on
+the grid size (p^f)^(d(m+1)).  No semilinear-algebra shortcut is taken
+on this path; it is what the kernel and the contraction solver are
+validated against.
 """
 
 import math
@@ -470,9 +478,87 @@ def _candidate_cut(spec, params):
     return Fraction(1, 2 * spec.denominator)
 
 
+def _kernel_mod_p(rows, n, p):
+    """Basis of {v in F_p^n : R v = 0}, by Gauss-Jordan elimination mod p."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        r0 = len(pivots)
+        pivot = next((r for r in range(r0, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[r0], rows[pivot] = rows[pivot], rows[r0]
+        inv = pow(rows[r0][col], -1, p)
+        rows[r0] = [(v * inv) % p for v in rows[r0]]
+        for r, row in enumerate(rows):
+            c = row[col]
+            if r != r0 and c:
+                rows[r] = [(v - c * w) % p for v, w in zip(row, rows[r0])]
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[free] = 1
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free] % p
+        basis.append(v)
+    return basis
+
+
+def _candidate_space(spec, params, F_t, budget):
+    """Every x at the cut b whose zero extension has defect valuation > a.
+
+    The unknowns are the F_p-digits of the coefficients of x: unknown
+    (j, m, t) is digit t of the coefficient of u^m in entry j.  Its
+    column is the defect of that unit vector at the full cut, read at
+    each monomial of valuation <= a and split into digits; the candidates
+    are the kernel.  Its p^r elements are checked against the budget,
+    then returned sorted, the order of enumerate_jc.
+    """
+    k = spec.params
+    p, f, d = k.p, k.f, len(F_t)
+    spec_b = spec.with_cut(_candidate_cut(spec, params))
+    slots = spec_b.m_max + 1
+    top = math.floor(params.defect_floor * spec.denominator)
+    zero = ValuedTrunc.zero(spec)
+    columns = []
+    for j in range(d):
+        for m in range(slots):
+            for t in range(f):
+                unit = PhiVector(spec, tuple(
+                    ValuedTrunc(spec, {m: p**t}) if jj == j else zero for jj in range(d)))
+                columns.append([c for e in _defect(unit, F_t).entries
+                                for mono in range(top + 1)
+                                for c in k.digits(e.coeffs.get(mono, 0))])
+    n = len(columns)
+    basis = _kernel_mod_p(zip(*columns), n, p)
+    size = p ** len(basis)
+    if size > budget:
+        raise BudgetExceeded(
+            f"solution space p^r = {size} exceeds budget {budget}",
+            search_space=size,
+            budget=budget,
+        )
+    found = []
+    for combo in product(range(p), repeat=len(basis)):
+        v = [sum(c * b[col] for c, b in zip(combo, basis)) % p for col in range(n)]
+        coeffs = [k.encode(v[s:s + f]) for s in range(0, n, f)]
+        found.append(PhiVector(spec_b, tuple(
+            ValuedTrunc(spec_b, dict(enumerate(coeffs[j * slots:(j + 1) * slots])))
+            for j in range(d))))
+    return sorted(found, key=lambda x: x._key())
+
+
 def _tstar_pipeline(module, spec, budget, params, lift_fn):
-    """Shared driver: enumerate at the injectivity cut b, zero-extend,
-    keep candidates whose defect valuation exceeds a, lift those.
+    """Shared pipeline: take the candidates at the injectivity cut b from
+    the kernel of the defect map, zero-extend them, lift every one.
+
+    The candidates are the x at cut b whose zero extension has defect
+    valuation above a; by the F_p-linearity of the defect they form a
+    kernel of dimension r, found by elimination on f*d*(m_b+1) digits.
+    The budget bounds the p^r candidates that are materialized (a
+    BudgetExceeded carries p^r), not the coefficient grid, which only
+    the enumerate_jc oracle scans.
 
     A candidate lifts exactly when it is the reduction of a true
     solution, so the lifted set is the full solution set; it is asserted
@@ -483,15 +569,13 @@ def _tstar_pipeline(module, spec, budget, params, lift_fn):
     if module.rank == 0:
         empty = PhiVector(spec, ())
         return TstarResult(solutions=(empty,), rank=0, lifts=(), params=params, spec=spec)
-    cut_b = _candidate_cut(spec, params)
-    candidates = enumerate_jc(module, spec.with_cut(cut_b), budget, witness=witness)
     F_t, _ = specialize(module, spec, witness=witness)
     solutions = []
     lifts = []
-    for cand in candidates.elements:
+    for cand in _candidate_space(spec, params, F_t, budget):
         x0 = cand.with_cut(spec.cut)
         if _defect(x0, F_t).val() <= params.defect_floor:
-            continue  # not the shadow of an exact solution
+            raise StructureViolation("kernel element has defect valuation <= a")
         lifted = lift_fn(module, spec, x0, params=params, witness=witness)
         solutions.append(lifted.solution)
         lifts.append(lifted)

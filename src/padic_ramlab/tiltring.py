@@ -19,6 +19,7 @@ not exist; multiplication drops them, which is reduction in the
 quotient ring.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +68,8 @@ class RingSpec:
     def p(self):
         return self.params.p
 
-    @property
+    # Cached in the instance dict: the fields alone still define == and hash.
+    @functools.cached_property
     def denominator(self):
         """D: monomial m has valuation m/D."""
         p = self.params.p
@@ -75,7 +77,7 @@ class RingSpec:
             return p ** (self.level - 1) * (p - 1)
         return p**self.level * (p - 1)
 
-    @property
+    @functools.cached_property
     def m_max(self):
         return math.floor(self.cut * self.denominator)
 

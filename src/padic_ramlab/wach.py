@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import qring, tiltring
-from .errors import HeightExceeded, NotDivisible, RegimeViolation, TruncationTooLow
+from .errors import (
+    HeightExceeded,
+    NotDivisible,
+    RamlabError,
+    RegimeViolation,
+    TruncationTooLow,
+)
 from .gf import FiniteFieldParams
 from .qring import QPoly, frobenius_q, gamma_q, invert_unit, try_divide
 
@@ -489,24 +495,61 @@ def module_to_dict(module, name=None, description=None):
     return doc
 
 
+def _integer(doc, key, default=None):
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RamlabError(f"module file: {key} = {value!r} is not an integer",
+                          precondition=f"{key} is an integer")
+    return value
+
+
+def _matrix_cells(doc, key, d):
+    rows = doc[key]
+    if not (isinstance(rows, list) and len(rows) == d
+            and all(isinstance(row, list) and len(row) == d
+                    and all(isinstance(cell, str) for cell in row) for row in rows)):
+        raise RamlabError(f"module file: {key} is not a {d}x{d} matrix of term strings",
+                          precondition=f"{key} is a d x d matrix of strings, d = {d}")
+    return rows
+
+
 def module_from_dict(doc):
-    params = FiniteFieldParams(int(doc["p"]), int(doc.get("f", 1)))
-    trunc = int(doc["N"])
-    d = int(doc["d"])
-    F = tuple(
-        tuple(qring.parse_terms(cell, params, trunc) for cell in row)
-        for row in doc["F"]
-    )
+    """Build a module from its file form, checking the file's contract.
+
+    A missing key, a scalar that is not an integer, G without uG, a
+    matrix whose shape is not d x d or a truncation N < 1 raises
+    RamlabError naming the violated precondition.
+    """
+    if not isinstance(doc, dict):
+        raise RamlabError("module file: not a JSON object",
+                          precondition="file holds one JSON object")
+    missing = [key for key in ("p", "N", "d", "i", "F") if key not in doc]
+    if missing:
+        raise RamlabError(f"module file: missing key(s) {', '.join(missing)}",
+                          precondition="keys p, N, d, i, F present")
+    if "G" in doc and "uG" not in doc:
+        raise RamlabError("module file: G given without uG",
+                          precondition="uG present when G is")
+    params = FiniteFieldParams(_integer(doc, "p"), _integer(doc, "f", 1))
+    trunc = _integer(doc, "N")
+    if trunc < 1:
+        raise RamlabError(f"module file: N = {trunc}", precondition="N >= 1")
+    d = _integer(doc, "d")
+
+    def parse_matrix(key):
+        return tuple(
+            tuple(qring.parse_terms(cell, params, trunc) for cell in row)
+            for row in _matrix_cells(doc, key, d)
+        )
+
+    F = parse_matrix("F")
     G = None
     u_g = None
     if "G" in doc:
-        G = tuple(
-            tuple(qring.parse_terms(cell, params, trunc) for cell in row)
-            for row in doc["G"]
-        )
-        u_g = int(doc["uG"])
+        G = parse_matrix("G")
+        u_g = _integer(doc, "uG")
     return WachModuleModP(params=params, trunc=trunc, rank=d,
-                          height=int(doc["i"]), F=F, G=G, u_g=u_g)
+                          height=_integer(doc, "i"), F=F, G=G, u_g=u_g)
 
 
 def load_module_file(path):

@@ -158,3 +158,19 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "tate-exclusion")
     assert code == 1
     assert parse(out)["ok"] is False
+
+
+@pytest.mark.parametrize("doc,precondition", [
+    ({"p": 3, "N": 8, "d": 1, "i": 1}, "keys p, N, d, i, F present"),
+    ({"p": 3, "N": 8, "d": 1, "i": 1, "F": [["x^2"]], "G": [["1"]]},
+     "uG present when G is"),
+    ({"p": 3, "N": 8, "d": 2, "i": 1, "F": [["x^2"]]}, "d x d matrix"),
+    ({"p": 3, "N": 0, "d": 1, "i": 1, "F": [["x^2"]]}, "N >= 1"),
+    ({"p": 3, "N": None, "d": 1, "i": 1, "F": [["x^2"]]}, "N is an integer"),
+])
+def test_solve_module_file_contract(tmp_path, capsys, doc, precondition):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path), "--depth", "1")
+    assert code == 2 and not out
+    assert precondition in err and "Traceback" not in err

@@ -1,6 +1,8 @@
 import math
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +23,17 @@ from padic_ramlab.frobsolve import (
     enumerate_jc,
     galois_act_jc,
 )
+from padic_ramlab.frobsolve import _candidate_cut, _candidate_space, _defect
 from padic_ramlab.gf import FiniteFieldParams
 from padic_ramlab.qring import QPoly
 from padic_ramlab.tiltring import RingSpec, ValuedTrunc
-from padic_ramlab.wach import WachModuleModP, make_rank1_module
+from padic_ramlab.wach import (
+    WachModuleModP,
+    load_module_file,
+    make_rank1_module,
+    random_module,
+    specialize,
+)
 
 K2 = FiniteFieldParams(2)
 K3 = FiniteFieldParams(3)
@@ -329,3 +338,97 @@ def test_transcript_rate_on_random_starts():
         finite = [v for v in out.transcript if v != math.inf]
         for a, b in zip(finite, finite[1:]):
             assert b - a >= params.h
+
+
+# -- kernel candidates against the grid oracle -------------------------------
+
+ORACLE_GRID_CAP = 1000
+
+
+def kernel_and_oracle(module, spec, params):
+    """The kernel candidates next to the filtered enumerate_jc grid."""
+    F_t, _ = specialize(module, spec)
+    kernel = _candidate_space(spec, params, F_t, budget=10**6)
+    cut_b = spec.with_cut(_candidate_cut(spec, params))
+    oracle = enumerate_jc(module, cut_b, budget=ORACLE_GRID_CAP)
+    filtered = [x for x in oracle.elements
+                if _defect(x.with_cut(spec.cut), F_t).val() > params.defect_floor]
+    return kernel, filtered
+
+
+def random_solver_case(rng):
+    """A random module and ring in either mode whose oracle grid is small."""
+    while True:
+        p = rng.choice([2, 3, 5])
+        d = rng.choice([1, 2])
+        f = rng.choice([1, 2])
+        i = rng.choice([0, 1, 2])
+        K = FiniteFieldParams(p, f)
+        if rng.random() < 0.5:
+            depth = rng.choice([1, 2])
+            params = SolverParams.for_tilt(p, i, RingSpec(K, "tilt", depth, 1))
+            spec = RingSpec(K, "tilt", depth, params.c_work)
+        else:
+            s = rng.choice([0, 1])
+            while p**s <= Fraction(p * i + 1, p - 1):  # cut c_work/p^s < 1
+                s += 1
+            params = SolverParams.for_untilted(p, i, s)
+            spec = RingSpec(K, "untilted", s, params.c_work * params.ring_scale)
+        slots = spec.with_cut(_candidate_cut(spec, params)).m_max + 1
+        if K.order ** (d * slots) <= ORACLE_GRID_CAP:
+            break
+    # V is certified below N - (p-1)i, which must exceed the image of the cut
+    module = random_module(rng, p, d, i, (2 * p - 1) * i + 4 + rng.randint(0, 4), f=f)
+    return module, spec, params
+
+
+def test_kernel_matches_grid_oracle_on_random_modules():
+    rng = random.Random(286)
+    modes = set()
+    for _ in range(60):
+        module, spec, params = random_solver_case(rng)
+        kernel, filtered = kernel_and_oracle(module, spec, params)
+        assert kernel == filtered, (module, spec)
+        modes.add(spec.mode)
+    assert modes == {"tilt", "untilted"}
+
+
+@pytest.mark.parametrize("seed", [4, 7, 10])
+def test_kernel_matches_grid_oracle_on_known_defect_draws(seed):
+    # compute_tstar raises StructureViolation on these draws in the lift,
+    # so the candidates are compared, not the solutions
+    module = random_module(random.Random(seed), 2, 2, 1, 10)
+    params = SolverParams.for_tilt(2, 1, RingSpec(K2, "tilt", 1, 1))
+    spec = RingSpec(K2, "tilt", 1, params.c_work)
+    kernel, filtered = kernel_and_oracle(module, spec, params)
+    assert kernel == filtered
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_tstar_deep_tilt_closed_form(depth):
+    path = Path(__file__).resolve().parents[1] / "demos" / "modules" / "rank1_p3_i1.json"
+    module = load_module_file(path)
+    params = SolverParams.for_tilt(3, 1, RingSpec(K3, "tilt", depth, 1))
+    spec = RingSpec(K3, "tilt", depth, params.c_work)
+    out = compute_tstar(module, spec, budget=10**6, params=params)
+    img = 3 ** (depth - 1)  # image of q - 1
+    assert set(out.solutions) == {PhiVector(spec, (ValuedTrunc(spec, {img: z}),))
+                                  for z in range(3)}
+
+
+def test_tstar_p7_i7_under_a_second():
+    module, spec, params = tilt_setup(7, 7)
+    start = time.perf_counter()
+    out = compute_tstar(module, spec, budget=10**6, params=params)
+    assert time.perf_counter() - start < 1.0
+    assert set(out.solutions) == {PhiVector(spec, (ValuedTrunc(spec, {7: z}),))
+                                  for z in range(7)}
+
+
+@pytest.mark.parametrize("p,i", [(3, 1), (5, 2)])
+def test_budget_bounds_the_solution_space(p, i):
+    module, spec, params = tilt_setup(p, i)
+    with pytest.raises(BudgetExceeded) as err:
+        compute_tstar(module, spec, budget=p - 1, params=params)
+    assert err.value.search_space == p and err.value.budget == p - 1
+    assert len(compute_tstar(module, spec, budget=p, params=params)) == p
