@@ -35,7 +35,7 @@ from .frobsolve import (
     galois_act_jc,
 )
 from .gf import FiniteFieldParams
-from .qring import QPoly, arith, frobenius_q, gamma_q, try_divide
+from .qring import QPoly, frobenius_q, gamma_q, try_divide
 from .ramify import (
     BreakData,
     HerbrandFn,
@@ -43,7 +43,6 @@ from .ramify import (
     kummer_tate_breaks,
     mu,
     phi_fn,
-    pm_mu_bound,
     psi_fn,
     tower_mu,
 )

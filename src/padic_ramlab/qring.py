@@ -22,7 +22,6 @@ from .gf import FiniteFieldParams
 __all__ = [
     "FiniteFieldParams",
     "QPoly",
-    "arith",
     "frobenius_q",
     "gamma_q",
     "try_divide",
@@ -209,15 +208,35 @@ def _parse_coeff(tok, params):
     return int(tok) % params.order
 
 
+def _signed_terms(text):
+    """Split stripped text at each '+' or '-' outside parentheses into
+    (sign, term) pairs; a sign at position 0 belongs to the first term."""
+    pieces = []
+    sign, start, depth = "+", 0, 0
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0:
+            if pos:
+                pieces.append((sign, text[start:pos].strip()))
+            sign, start = ch, pos + 1
+    pieces.append((sign, text[start:].strip()))
+    return pieces
+
+
 def parse_terms(text, params, trunc):
-    """Parse the bare term form; accepts 'c', 'x^e', 'x' and 'c*x^e'."""
+    """Parse the bare term form: terms 'c', 'x^e', 'x' and 'c*x^e' joined
+    by '+' or '-', with an optional leading sign ('1 - x', '-2*x^3')."""
     text = text.strip()
     coeffs = {}
     if text in ("", "0"):
         return QPoly.zero(params, trunc)
     k = params
-    for part in text.split("+"):
-        part = part.strip()
+    for sign, part in _signed_terms(text):
+        if not part:
+            raise ValueError(f"bad term in {text!r}")
         if "*" in part:
             ctok, xtok = part.split("*", 1)
         elif "x" in part:
@@ -232,6 +251,8 @@ def parse_terms(text, params, trunc):
         else:
             raise ValueError(f"bad term {part!r}")
         c = _parse_coeff(ctok, params)
+        if sign == "-":
+            c = k.neg(c)
         coeffs[e] = k.add(coeffs.get(e, 0), c)
     return QPoly(params, trunc, coeffs)
 
@@ -244,18 +265,7 @@ def parse_qpoly(text):
     return parse_terms(body, params, int(fields["N"]))
 
 
-# -- the four ring operations ----------------------------------------------
-
-
-def arith(a, b, op):
-    """Dispatcher covering add / mul / scalar-mul (b a k-element)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scalar-mul":
-        return a.scale(b)
-    raise ValueError(f"unknown op {op!r}")
+# -- Frobenius, Galois substitution, division -------------------------------
 
 
 def frobenius_q(a):

@@ -30,7 +30,6 @@ __all__ = [
     "cyclotomic_breaks",
     "cyclotomic_relative_breaks",
     "kummer_tate_breaks",
-    "pm_mu_bound",
 ]
 
 
@@ -289,9 +288,3 @@ def kummer_tate_breaks(p):
         )
     total, pairs = _KUMMER_TATE_TABLE[p]
     return BreakData(total_order=total, breaks=pairs)
-
-
-def pm_mu_bound(e, m):
-    """The ramification bound e * m extracted from an approximate-algebra-map
-    criterion at level m for an extension of ramification index e."""
-    return Fraction(e) * Fraction(m)

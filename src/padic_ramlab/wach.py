@@ -4,8 +4,13 @@ Galois generator acting with exponent u_G.
 
 The defining conditions checked here:
 
-  * height <= i: there is a matrix V with F V = (q-1)^((p-1)i) Id
-    (verify_height produces V or fails);
+  * height <= i: there is a matrix V with F V = (q-1)^((p-1)i) Id.
+    verify_height produces V or fails, from one elimination over
+    k[[x]]/x^N that pivots on the entry of lowest x-adic valuation
+    (Smith form F = P diag(x^(h_j) u_j) Q, O(d^3) ring operations); the
+    same elimination gives mat_inverse_unit.  The cofactor determinant
+    and adjugate (mat_det, mat_adjugate, O(d!)) are kept as the test
+    oracle and are called by no library path;
   * the Galois action is trivial modulo (q-1): G = Id mod (q-1), and
     G commutes with Frobenius in the semilinear sense
     G * gamma(F) = F * phi(G) (verify_gamma, report-valued);
@@ -23,7 +28,6 @@ from typing import Optional
 from . import qring, tiltring
 from .errors import (
     HeightExceeded,
-    NotDivisible,
     RamlabError,
     RegimeViolation,
     TruncationTooLow,
@@ -111,12 +115,95 @@ def mat_adjugate(A):
     return tuple(tuple(row) for row in adj)
 
 
+def _lift(a, trunc):
+    """The element a read at the higher truncation trunc, unknown terms zero."""
+    return QPoly(a.params, trunc, a.coeffs)
+
+
+def _eliminate(A):
+    """Diagonalize A over k[[x]]/(x^N) by valuation-pivoting elimination.
+
+    Returns (R, col_ops, pivots) with R A C = diag(x^(h_j) u_j) mod x^N,
+    where R is invertible, C is the product of col_ops in order (an entry
+    (k, c, None) swaps columns k and c; (k, c, m) adds m times
+    column k to column c) and pivots = [(h_j, u_j^(-1))], each inverse
+    at truncation N - h_j.  Returns None when a remaining submatrix is
+    zero mod x^N (then det A = 0 at this truncation).  Each step pivots
+    on an entry of lowest valuation v in the remaining submatrix, so
+    every entry there is divisible by x^v, and clears the pivot's column
+    by row operations and its row by column operations.  The h_j come
+    out non-decreasing.  Cleared entries are never read again, so they
+    are not written back.
+
+    Precision: a multiplier -(b / x^v) u^(-1), b an entry to clear and
+    x^v u the pivot, is known only mod x^(N-v) and is used with its
+    unknown terms set to zero.  Its error meets entries of valuation
+    >= v, so it is O(x^N) in the matrix being reduced: R and C are
+    exact, and R A C = D holds exactly for another lift A' of A mod x^N.
+    For A = F, x^h F'^(-1) = x^h F^(-1) mod x^(N - max(sum h_j, h))
+    whenever every h_j <= h, so the error stays below the slack of the
+    height witness.
+    """
+    d = len(A)
+    N = A[0][0].trunc
+    A = [list(row) for row in A]
+    R = [list(row) for row in mat_identity(A[0][0].params, N, d)]
+    col_ops = []
+    pivots = []
+    for k in range(d):
+        entries = [(A[r][c].valuation(), r, c) for r in range(k, d)
+                   for c in range(k, d) if not A[r][c].is_zero()]
+        if not entries:
+            return None
+        v, pr, pc = min(entries)
+        A[k], A[pr] = A[pr], A[k]
+        R[k], R[pr] = R[pr], R[k]
+        if pc != k:
+            for row in A:
+                row[k], row[pc] = row[pc], row[k]
+            col_ops.append((k, pc, None))
+        unit_inv = invert_unit(try_divide(A[k][k], v))
+        for r in range(k + 1, d):
+            if A[r][k].is_zero():
+                continue
+            neg_m = _lift(try_divide(-A[r][k], v) * unit_inv, N)
+            for c in range(k + 1, d):
+                if not A[k][c].is_zero():
+                    A[r][c] = A[r][c] + neg_m * A[k][c]
+            R[r] = [a if b.is_zero() else a + neg_m * b for a, b in zip(R[r], R[k])]
+        for c in range(k + 1, d):
+            if not A[k][c].is_zero():
+                col_ops.append((k, c, _lift(try_divide(-A[k][c], v) * unit_inv, N)))
+        pivots.append((v, unit_inv))
+    return R, col_ops, pivots
+
+
+def _scaled_inverse(R, col_ops, scales):
+    """C diag(scales) R for an elimination (R, col_ops), at the truncation
+    of the scales: C acts as the row operation matching each column
+    operation, last first."""
+    trunc = scales[0].trunc
+    zero = QPoly.zero(scales[0].params, trunc)
+    rows = [[zero if b.is_zero() else b.retrunc(trunc) * s for b in row]
+            for row, s in zip(R, scales)]
+    for k, c, m in reversed(col_ops):
+        if m is None:
+            rows[k], rows[c] = rows[c], rows[k]
+        else:
+            m = m.retrunc(trunc)
+            rows[k] = [a if b.is_zero() else a + m * b for a, b in zip(rows[k], rows[c])]
+    return tuple(map(tuple, rows))
+
+
 def mat_inverse_unit(A):
     """Inverse of a matrix whose determinant is a unit of k[[x]]/(x^N)."""
-    det = mat_det(A)
-    det_inv = invert_unit(det)
-    adj = mat_adjugate(A)
-    return mat_map(lambda a: a * det_inv, adj)
+    if not A:
+        return ()
+    found = _eliminate(A)
+    if found is None or any(v for v, _ in found[2]):
+        raise ZeroDivisionError("not a unit: determinant has zero constant term")
+    R, col_ops, pivots = found
+    return _scaled_inverse(R, col_ops, [u_inv for _, u_inv in pivots])
 
 
 # -- the module type ---------------------------------------------------------
@@ -173,11 +260,14 @@ class GammaReport:
 def verify_height(module):
     """Produce V with F V = (q-1)^((p-1)i) Id, or raise HeightExceeded.
 
-    Solved by exact linear algebra: V = adj(F) x^(h - delta) w^(-1)
-    where det F = x^delta w with w a unit and h = (p-1)i.  A division by
-    x that fails certifies that no quasi-inverse exists.  The witness is
-    certified at truncation N - max(delta, h); for the generic case
-    delta <= h this is the full N - (p-1)i.
+    One elimination over k[[x]]/(x^N) (_eliminate) writes
+    F = P diag(x^(h_j) u_j) Q with P, Q invertible and u_j units; then
+    V = Q^(-1) diag(x^(h - h_j) u_j^(-1)) P^(-1) with h = (p-1)i, which
+    is x^h F^(-1), unique at the certified truncation.  HeightExceeded
+    is raised when det F = 0 at this truncation (sum h_j >= N or a zero
+    remaining block) or some h_j > h.  The witness is certified at
+    truncation N - max(sum h_j, h); for the generic case sum h_j <= h
+    this is the full N - (p-1)i.
     """
     h = module.height_exponent
     N = module.trunc
@@ -188,36 +278,23 @@ def verify_height(module):
         )
     if module.rank == 0:
         return HeightWitness(V=(), slack=N - h)
-    det = mat_det(module.F)
-    if det.is_zero():
+    found = _eliminate(module.F)
+    delta = sum(v for v, _ in found[2]) if found is not None else N
+    if delta >= N:
         raise HeightExceeded(
             "det F = 0 at this truncation: Frobenius is not injective"
         )
-    delta = det.valuation()
-    if N <= delta:
-        raise TruncationTooLow(
-            f"det F has valuation {delta} >= truncation {N}",
-            precondition="N > val(det F)",
+    R, col_ops, pivots = found
+    top = pivots[-1][0]
+    if top > h:
+        raise HeightExceeded(
+            f"height > {module.height}: elementary divisor x^{top} does not "
+            f"divide x^{h}"
         )
-    w = try_divide(det, delta)          # unit, truncation N - delta
-    w_inv = invert_unit(w)
     slack = N - max(delta, h)
-
-    def build_entry(a):
-        if h >= delta:
-            a = a.shift(h - delta)
-        else:
-            try:
-                a = try_divide(a, delta - h)
-            except NotDivisible as exc:
-                raise HeightExceeded(
-                    f"height > {module.height}: adjugate entry not divisible "
-                    f"by x^{delta - h}"
-                ) from exc
-        t = min(a.trunc, w_inv.trunc, slack)
-        return (a.retrunc(t) * w_inv.retrunc(t)).retrunc(slack)
-
-    V = mat_map(build_entry, mat_adjugate(module.F))
+    V = _scaled_inverse(R, col_ops, [
+        u_inv.retrunc(slack).shift(h - v) for v, u_inv in pivots
+    ])
     # re-multiply and assert the defining identity at the certified slack
     target = QPoly.monomial(module.params, slack, h) if h < slack else \
         QPoly.zero(module.params, slack)
@@ -516,9 +593,9 @@ def _matrix_cells(doc, key, d):
 def module_from_dict(doc):
     """Build a module from its file form, checking the file's contract.
 
-    A missing key, a scalar that is not an integer, G without uG, a
-    matrix whose shape is not d x d or a truncation N < 1 raises
-    RamlabError naming the violated precondition.
+    A missing key, a scalar that is not an integer, G without uG, a uG
+    divisible by p, a matrix whose shape is not d x d or a truncation
+    N < 1 raises RamlabError naming the violated precondition.
     """
     if not isinstance(doc, dict):
         raise RamlabError("module file: not a JSON object",
@@ -548,6 +625,9 @@ def module_from_dict(doc):
     if "G" in doc:
         G = parse_matrix("G")
         u_g = _integer(doc, "uG")
+        if u_g % params.p == 0:
+            raise RamlabError(f"module file: uG = {u_g} is divisible by p = {params.p}",
+                              precondition="gcd(uG, p) = 1")
     return WachModuleModP(params=params, trunc=trunc, rank=d,
                           height=_integer(doc, "i"), F=F, G=G, u_g=u_g)
 

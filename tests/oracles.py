@@ -3,10 +3,16 @@
 These recompute expected values by routes disjoint from the library:
 dense polynomial arithmetic, Sylvester resultants over Z with a Bareiss
 determinant, and direct valuation computations of conjugate differences
-in explicit number rings.
+in explicit number rings.  The height witness is recomputed by the
+cofactor determinant and adjugate over k[[x]]/x^N, a route that shares
+only the series arithmetic with the elimination in wach.
 """
 
 from fractions import Fraction
+
+from padic_ramlab.errors import HeightExceeded, NotDivisible, TruncationTooLow
+from padic_ramlab.qring import invert_unit, try_divide
+from padic_ramlab.wach import mat_adjugate, mat_det
 
 
 # -- dense polynomial arithmetic over F_p (schoolbook) -----------------------
@@ -192,3 +198,46 @@ def kummer_tate_conjugate_valuations(p):
             v_f = vp(abs(res), p)
             vals.append(p * v_f - (p - 1))
     return vals
+
+
+# -- cofactor linear algebra over k[[x]]/x^N ---------------------------------
+
+def cofactor_height_witness(module):
+    """(V, slack) of the height witness by determinant and adjugate.
+
+    V = adj(F) x^(h - delta) w^(-1) with det F = x^delta w, w a unit and
+    h = (p-1)i; O(d!) through wach.mat_det / wach.mat_adjugate, the
+    cofactor expansion that no library path calls.  Raises the library's
+    HeightExceeded / TruncationTooLow on the same inputs as verify_height.
+    """
+    h = module.height_exponent
+    N = module.trunc
+    if N <= h:
+        raise TruncationTooLow("N <= (p-1)i")
+    if module.rank == 0:
+        return (), N - h
+    det = mat_det(module.F)
+    if det.is_zero():
+        raise HeightExceeded("det F = 0")
+    delta = det.valuation()
+    w_inv = invert_unit(try_divide(det, delta))
+    slack = N - max(delta, h)
+
+    def entry(a):
+        if h >= delta:
+            a = a.shift(h - delta)
+        else:
+            try:
+                a = try_divide(a, delta - h)
+            except NotDivisible as exc:
+                raise HeightExceeded("adjugate entry not divisible") from exc
+        return a.retrunc(slack) * w_inv.retrunc(slack)
+
+    V = tuple(tuple(entry(a) for a in row) for row in mat_adjugate(module.F))
+    return V, slack
+
+
+def cofactor_inverse_unit(A):
+    """adj(A) / det(A) over k[[x]]/x^N, det(A) a unit."""
+    det_inv = invert_unit(mat_det(A))
+    return tuple(tuple(a * det_inv for a in row) for row in mat_adjugate(A))

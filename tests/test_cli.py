@@ -167,10 +167,13 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     ({"p": 3, "N": 8, "d": 2, "i": 1, "F": [["x^2"]]}, "d x d matrix"),
     ({"p": 3, "N": 0, "d": 1, "i": 1, "F": [["x^2"]]}, "N >= 1"),
     ({"p": 3, "N": None, "d": 1, "i": 1, "F": [["x^2"]]}, "N is an integer"),
+    ({"p": 3, "N": 8, "d": 1, "i": 1, "F": [["x^2"]], "G": [["1"]], "uG": 6},
+     "gcd(uG, p) = 1"),
 ])
 def test_solve_module_file_contract(tmp_path, capsys, doc, precondition):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "solve", str(path), "--depth", "1")
-    assert code == 2 and not out
-    assert precondition in err and "Traceback" not in err
+    for extra in ([], ["--skip-verify"]):
+        code, out, err = run(capsys, "solve", str(path), "--depth", "1", *extra)
+        assert code == 2 and not out
+        assert precondition in err and "Traceback" not in err

@@ -6,7 +6,6 @@ from padic_ramlab.errors import NonUnitExponent, NotDivisible, ParamMismatch
 from padic_ramlab.gf import FiniteFieldParams
 from padic_ramlab.qring import (
     QPoly,
-    arith,
     frobenius_q,
     gamma_q,
     invert_unit,
@@ -43,7 +42,7 @@ def test_mul_truncates():
 def test_mul_against_dense_oracle():
     a = parse_terms("1 + 1*x^1", K3, 3)
     b = parse_terms("1 + 1*x^1 + 1*x^2", K3, 3)
-    prod = arith(a, b, "mul")
+    prod = a * b
     expect = dense_mul([1, 1], [1, 1, 1], 3, 3)
     assert [prod.coeffs.get(e, 0) for e in range(3)] == expect
 
@@ -62,14 +61,14 @@ def test_mul_random_against_dense_oracle():
 
 def test_param_mismatch():
     with pytest.raises(ParamMismatch):
-        arith(QPoly.x(K2, 4), QPoly.x(K3, 4), "add")
+        QPoly.x(K2, 4) + QPoly.x(K3, 4)
     with pytest.raises(ParamMismatch):
-        arith(QPoly.x(K2, 4), QPoly.x(K2, 5), "add")
+        QPoly.x(K2, 4) + QPoly.x(K2, 5)
 
 
 def test_scalar_mul():
     a = parse_terms("1 + 2*x^2", K3, 4)
-    assert arith(a, 2, "scalar-mul") == parse_terms("2 + 1*x^2", K3, 4)
+    assert a.scale(2) == parse_terms("2 + 1*x^2", K3, 4)
 
 
 def test_frobenius_examples():
@@ -185,3 +184,30 @@ def test_parse_human_forms():
     assert parse_terms("2", K3, 4) == QPoly.constant(K3, 4, 2)
     assert parse_terms("1 + 2*x^3", K3, 4).coeffs == {0: 1, 3: 2}
     assert parse_terms("x^2 + x^2", K2, 4).is_zero()
+
+
+def test_parse_minus_signs():
+    assert parse_terms("1 - x", K3, 4) == parse_terms("1 + 2*x^1", K3, 4)
+    assert parse_terms("-2*x^3", K3, 4) == QPoly.monomial(K3, 4, 3, 1)
+    assert parse_terms(" - x + x^2 - 1", K3, 4).coeffs == {0: 2, 1: 2, 2: 1}
+    assert parse_terms("x - x", K3, 4).is_zero()
+    assert parse_terms("1 - x", K2, 4) == parse_terms("1 + x", K2, 4)
+    k4 = FiniteFieldParams(2, 2)
+    assert parse_terms("-(0,1)*x^1", k4, 4) == parse_terms("(0,1)*x^1", k4, 4)
+    K5 = FiniteFieldParams(5)
+    assert parse_terms("-(3)*x^1", K5, 4).coeffs == {1: 2}
+    # output keeps the '+'-only form
+    assert parse_terms("1 - x", K3, 4).terms_str() == "1*x^0 + 2*x^1"
+    for bad in ("1 -", "--x", "1 + - x", "-", "2*x^-3"):
+        with pytest.raises(ValueError):
+            parse_terms(bad, K3, 4)
+
+
+def test_parse_signed_terms_round_trip():
+    rng = random.Random(71)
+    for _ in range(40):
+        params = rng.choice([K2, K3, FiniteFieldParams(5), FiniteFieldParams(3, 2)])
+        a = rand_poly(rng, params, 6)
+        negated = " - ".join([""] + a.terms_str().split(" + ")) if a.coeffs else "0"
+        assert parse_terms(negated, params, 6) == -a
+        assert parse_terms(a.terms_str(), params, 6) == a

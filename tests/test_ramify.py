@@ -11,7 +11,6 @@ from padic_ramlab.ramify import (
     kummer_tate_breaks,
     mu,
     phi_fn,
-    pm_mu_bound,
     psi_fn,
     tower_mu,
 )
@@ -137,11 +136,3 @@ def test_tower_consistency_cyclotomic():
                 rel = cyclotomic_relative_breaks(p, n, m)
                 low = cyclotomic_breaks(p, m)
                 assert tower_mu(mu(low), phi_fn(low), mu(rel)) == mu(cyclotomic_breaks(p, n))
-
-
-def test_pm_mu_bound():
-    p, i, s = 3, 1, 1
-    a = Fraction(p * i, p - 1)
-    assert pm_mu_bound(p**s * (p - 1), a / p**s) == i * p
-    assert pm_mu_bound(1, Fraction(7, 3)) == Fraction(7, 3)
-    assert pm_mu_bound(6, Fraction(1, 2)) == 3

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from padic_ramlab.wach import (
     WachModuleModP,
     gamma_power_containment,
     make_rank1_module,
+    mat_identity,
+    mat_inverse_unit,
     mat_mul,
     module_from_dict,
     module_to_dict,
@@ -20,6 +24,7 @@ from padic_ramlab.wach import (
     verify_gamma,
     verify_height,
 )
+from .oracles import cofactor_height_witness, cofactor_inverse_unit
 
 K2 = FiniteFieldParams(2)
 K3 = FiniteFieldParams(3)
@@ -73,6 +78,99 @@ def test_height_witness_identity_random():
             for c in range(M.rank):
                 want = target if r == c else QPoly.zero(M.params, w.slack)
                 assert prod[r][c] == want
+
+
+def height_draw(rng, p, f, d):
+    """A random module at its built height, or one whose claimed height is
+    too low, whose Frobenius has a repeated row or whose entries are
+    random (the last three often raise HeightExceeded)."""
+    built = rng.randint(0, 2)
+    M = random_module(rng, p, d, built, rng.randint((p - 1) * built + 1,
+                                                  (p - 1) * built + 8), f=f)
+    kind = rng.random()
+    if kind < 0.25:
+        return dataclasses.replace(M, height=rng.randint(0, built))
+    if kind < 0.35 and d >= 2:
+        return dataclasses.replace(M, F=(M.F[0],) + M.F[:-1])
+    if kind < 0.5:
+        return dataclasses.replace(M, F=tuple(
+            tuple(QPoly(M.params, M.trunc,
+                        {e: rng.randrange(M.params.order) for e in range(M.trunc)
+                         if rng.random() < 0.3}) for _ in range(d))
+            for _ in range(d)))
+    return M
+
+
+def height_outcome(fn, M):
+    try:
+        return fn(M)
+    except (HeightExceeded, TruncationTooLow) as exc:
+        return type(exc)
+
+
+def test_height_witness_matches_cofactor_oracle():
+    rng = random.Random(53)
+    outcomes = set()
+    for _ in range(120):
+        p, f = rng.choice([2, 3, 5, 7]), rng.choice([1, 2])
+        M = height_draw(rng, p, f, rng.choice([1, 2, 2, 3, 3, 4, 5] if f == 1 else [1, 2, 3]))
+        got = height_outcome(verify_height, M)
+        want = height_outcome(cofactor_height_witness, M)
+        if isinstance(want, tuple):
+            assert (got.V, got.slack) == want
+            outcomes.add("witness")
+        else:
+            assert got is want
+            outcomes.add(want)
+    assert outcomes == {"witness", HeightExceeded}
+
+
+def test_height_slack_matches_sympy_determinant():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    x = sympy.symbols("x")
+    rng = random.Random(59)
+    for _ in range(20):
+        p = rng.choice([2, 3, 5, 7])
+        M = height_draw(rng, p, 1, rng.randint(1, 4))
+        ring = sympy.GF(p)[x]
+        cells = [[ring.from_sympy(sum(c * x**e for e, c in a.coeffs.items()))
+                  for a in row] for row in M.F]
+        det = DomainMatrix(cells, (M.rank, M.rank), ring).det()
+        # the determinant is a polynomial identity, so truncation commutes with it
+        delta = min((m[0] for m, c in det.terms() if c and m[0] < M.trunc), default=None)
+        got = height_outcome(verify_height, M)
+        if delta is None:
+            assert got is HeightExceeded
+        elif got is not HeightExceeded:
+            assert got.slack == M.trunc - max(delta, M.height_exponent)
+
+
+def test_mat_inverse_unit():
+    rng = random.Random(61)
+    for _ in range(30):
+        p, f = rng.choice([2, 3, 5, 7]), rng.choice([1, 2])
+        M = random_module(rng, p, rng.randint(1, 4), 0, rng.randint(1, 12), f=f)
+        G_inv = mat_inverse_unit(M.G)
+        assert mat_mul(G_inv, M.G) == mat_identity(M.params, M.trunc, M.rank)
+        assert G_inv == cofactor_inverse_unit(M.G)
+    x = QPoly.x(K3, 6)
+    one = QPoly.one(K3, 6)
+    with pytest.raises(ZeroDivisionError):
+        mat_inverse_unit(((one, x), (x, x)))  # det = x - x^2
+    assert mat_inverse_unit(()) == ()
+
+
+def test_height_rank8_under_a_second():
+    M = random_module(random.Random(67), 3, 8, 1, 16)
+    started = time.perf_counter()
+    w = verify_height(M)
+    assert time.perf_counter() - started < 1.0
+    F_cut = tuple(tuple(a.retrunc(w.slack) for a in row) for row in M.F)
+    x2 = QPoly.monomial(M.params, w.slack, 2)
+    assert mat_mul(F_cut, w.V) == tuple(tuple(x2 if r == c else QPoly.zero(M.params, w.slack)
+                                              for c in range(8)) for r in range(8))
 
 
 def test_gamma_report():
