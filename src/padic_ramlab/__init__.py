@@ -3,8 +3,10 @@
 Layers, bottom up:
 
   gf         the coefficient fields F_{p^f}
-  qring      k[[q-1]]/(q-1)^N with Frobenius q -> q^p and Galois q -> q^u
-  tiltring   truncated characteristic-p valued rings (tilt / cyclotomic)
+  qring      k[[q-1]]/(q-1)^N with Frobenius q -> q^p and Galois q -> q^u,
+             and the series engine that does the arithmetic of both rings
+  tiltring   truncated characteristic-p valued rings (tilt / cyclotomic),
+             a second view on the series engine
   wach       module data, height witnesses, Galois checks, specialization
   frobsolve  brute-force solution sets and contraction lifting
   ramify     Herbrand transition functions and mu invariants

@@ -47,9 +47,10 @@ from .errors import (
     RegimeViolation,
     StructureViolation,
 )
-from .qring import gamma_q
+from .qring import exponent_modulus, gamma_q
 from .tiltring import RingSpec, ValuedTrunc, frobenius, galois_act
-from .wach import mat_inverse_unit, mat_map, specialize, verify_height
+from .wach import (embed_twisted, mat_inverse_unit, mat_map, mat_mul, specialize,
+                   verify_height)
 
 __all__ = [
     "SolverParams",
@@ -195,14 +196,7 @@ class PhiVector:
         return PhiVector(self.spec, tuple(frobenius(e) for e in self.entries))
 
     def times_matrix(self, M):
-        d = len(M)
-        out = []
-        for j in range(len(M[0]) if d else 0):
-            acc = ValuedTrunc.zero(self.spec)
-            for k in range(d):
-                acc = acc + self.entries[k] * M[k][j]
-            out.append(acc)
-        return PhiVector(self.spec, tuple(out))
+        return PhiVector(self.spec, mat_mul((self.entries,), M)[0])
 
     def shift_down(self, j):
         return PhiVector(self.spec, tuple(e.shift_down(j) for e in self.entries))
@@ -675,28 +669,11 @@ def _galois_generator_step(module, vec):
     if module.G is None:
         raise ValueError("module carries no Galois generator matrix")
     spec = vec.spec
-    p = module.params.p
     u = module.u_g
-    T = 1
-    while T < module.trunc:
-        T *= p
+    T = exponent_modulus(module.params.p, module.trunc)
     u_inv = pow(u, -1, T) if T > 1 else 1
     G_inv = mat_inverse_unit(module.G)
-    H = mat_map(lambda e: gamma_q(e, u_inv), G_inv)
-    if spec.mode == tiltring.UNTILTED and module.params.f > 1:
-        s = spec.level
-        k = module.params
-
-        def push(a):
-            from .qring import QPoly
-            twisted = QPoly(a.params, a.trunc,
-                            {e: k.frobenius_pow(c, -s) for e, c in a.coeffs.items()})
-            return tiltring.embed_q(twisted, spec)
-    else:
-        def push(a):
-            return tiltring.embed_q(a, spec)
-
-    H_t = mat_map(push, H)
+    H_t = mat_map(lambda e: embed_twisted(gamma_q(e, u_inv), spec), G_inv)
     moved = vec.times_matrix(H_t)
     return PhiVector(spec, tuple(galois_act(e, u) for e in moved.entries))
 

@@ -12,6 +12,12 @@ Representation invariants:
     and exact division by x^j lowers the truncation to N - j.
 
 Two elements interoperate only when their (params, trunc) agree.
+
+The ring arithmetic lives here once, as the series engine: functions
+over coefficient dicts {index -> nonzero k-element} with every index
+below an exclusive bound top.  QPoly (top = N) and tiltring.ValuedTrunc
+(top = m_max + 1) are thin views on it that add their own metadata,
+compatibility check and text header.
 """
 
 import math
@@ -29,6 +35,112 @@ __all__ = [
 ]
 
 
+# -- the series engine ------------------------------------------------------
+# Inputs and results are coefficient dicts already reduced into k, with
+# zeros dropped and every index in [0, top); results are fresh dicts.
+
+
+def series_add(k, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = k.add(out.get(e, 0), c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def series_neg(k, a):
+    return {e: k.neg(c) for e, c in a.items()}
+
+
+def series_mul(k, a, b, top):
+    """The product, dropping every index >= top."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if e >= top:
+                continue
+            s = k.add(out.get(e, 0), k.mul(c1, c2))
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def series_pow(k, a, n, top):
+    if n < 0:
+        raise ValueError("negative powers not supported")
+    result = {0: 1}
+    while n:
+        if n & 1:
+            result = series_mul(k, result, a, top)
+        n >>= 1
+        if n:
+            a = series_mul(k, a, a, top)
+    return result
+
+
+def series_frobenius(k, a, top):
+    """c*t^e -> c^p * t^(p*e), the p-th power map in characteristic p."""
+    p = k.p
+    return {p * e: k.frobenius(c) for e, c in a.items() if p * e < top}
+
+
+def exponent_modulus(p, top):
+    """Smallest p^T with p^T >= top; exponents u act through u mod p^T
+    because (1+t)^(p^T) = 1 + t^(p^T) = 1 below top."""
+    T = 1
+    while T < top:
+        T *= p
+    return T
+
+
+def one_plus_t_pow(p, top, u):
+    """(1+t)^u - 1 below top, u reduced mod the exponent modulus."""
+    u_red = u % exponent_modulus(p, top)
+    out = {}
+    for j in range(1, top):
+        c = math.comb(u_red, j) % p
+        if c:
+            out[j] = c
+    return out
+
+
+def series_substitute(k, a, u, top):
+    """The substitution t -> (1+t)^u - 1 for u prime to p."""
+    if u % k.p == 0:
+        raise NonUnitExponent(f"exponent {u} is divisible by p = {k.p}",
+                              precondition="gcd(u, p) = 1")
+    base = one_plus_t_pow(k.p, top, u)
+    out = {}
+    # Horner-style accumulation over ascending exponents.
+    power = {0: 1}
+    prev_e = 0
+    for e in sorted(a):
+        for _ in range(e - prev_e):
+            power = series_mul(k, power, base, top)
+        prev_e = e
+        c = a[e]
+        out = series_add(k, out, {j: k.mul(b, c) for j, b in power.items()})
+    return out
+
+
+def series_terms(k, a, letter):
+    """Bare term form in the variable letter, e.g. '1*x^0 + 2*x^3'."""
+    if not a:
+        return "0"
+    parts = []
+    for e in sorted(a):
+        c = a[e]
+        cs = str(c) if k.f == 1 else "(" + ",".join(map(str, k.digits(c))) + ")"
+        parts.append(f"{cs}*{letter}^{e}")
+    return " + ".join(parts)
+
+
 class QPoly:
     __slots__ = ("params", "trunc", "coeffs")
 
@@ -44,6 +156,13 @@ class QPoly:
         self.params = params
         self.trunc = trunc
         self.coeffs = clean
+
+    @classmethod
+    def _new(cls, params, trunc, coeffs):
+        """Wrap a dict the series engine made: reduced, in [0, trunc)."""
+        a = object.__new__(cls)
+        a.params, a.trunc, a.coeffs = params, trunc, coeffs
+        return a
 
     # -- constructors ----------------------------------------------------
 
@@ -94,42 +213,23 @@ class QPoly:
                 f"({other.params}, N={other.trunc})"
             )
 
-    # -- ring operations ---------------------------------------------------
+    # -- ring operations (the series engine at top = N) --------------------
 
     def __add__(self, other):
         self._check(other)
-        k = self.params
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = k.add(out.get(e, 0), c)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return QPoly(self.params, self.trunc, out)
+        return QPoly._new(self.params, self.trunc,
+                          series_add(self.params, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        k = self.params
-        return QPoly(self.params, self.trunc, {e: k.neg(c) for e, c in self.coeffs.items()})
+        return QPoly._new(self.params, self.trunc, series_neg(self.params, self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        k = self.params
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e >= self.trunc:
-                    continue
-                s = k.add(out.get(e, 0), k.mul(c1, c2))
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return QPoly(self.params, self.trunc, out)
+        return QPoly._new(self.params, self.trunc,
+                          series_mul(self.params, self.coeffs, other.coeffs, self.trunc))
 
     def scale(self, c):
         """Multiply by the k-element c."""
@@ -137,16 +237,8 @@ class QPoly:
         return QPoly(self.params, self.trunc, {e: k.mul(c0, c) for e, c0 in self.coeffs.items()})
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        result = QPoly.one(self.params, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return QPoly._new(self.params, self.trunc,
+                          series_pow(self.params, self.coeffs, n, self.trunc))
 
     def shift(self, j):
         """Multiply by x^j (dropping overflow past the truncation)."""
@@ -177,15 +269,7 @@ class QPoly:
 
     def terms_str(self):
         """Bare term form, e.g. '1*x^0 + 2*x^3'."""
-        if not self.coeffs:
-            return "0"
-        k = self.params
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            cs = str(c) if k.f == 1 else "(" + ",".join(map(str, k.digits(c))) + ")"
-            parts.append(f"{cs}*x^{e}")
-        return " + ".join(parts)
+        return series_terms(self.params, self.coeffs, "x")
 
     def to_text(self):
         """Full text form: 'p=<p> f=<f> N=<N>; <terms>'."""
@@ -246,10 +330,10 @@ def parse_terms(text, params, trunc):
         xtok = xtok.strip()
         if xtok == "x":
             e = 1
-        elif xtok.startswith("x^"):
+        elif xtok.startswith("x^") and xtok[2:].strip().isdecimal():
             e = int(xtok[2:])
         else:
-            raise ValueError(f"bad term {part!r}")
+            raise ValueError(f"bad term {part!r} in {text!r}")
         c = _parse_coeff(ctok, params)
         if sign == "-":
             c = k.neg(c)
@@ -270,53 +354,17 @@ def parse_qpoly(text):
 
 def frobenius_q(a):
     """The semilinear Frobenius: c*x^e -> c^p * x^(p*e), i.e. q -> q^p."""
-    k = a.params
-    p = k.p
-    out = {}
-    for e, c in a.coeffs.items():
-        if p * e < a.trunc:
-            out[p * e] = k.frobenius(c)
-    return QPoly(a.params, a.trunc, out)
-
-
-def _exponent_modulus(p, bound):
-    """Smallest p^T with p^T >= bound; exponents u act through u mod p^T
-    because (1+x)^(p^T) = 1 + x^(p^T) = 1 at this truncation."""
-    T = 1
-    while T < bound:
-        T *= p
-    return T
+    return QPoly._new(a.params, a.trunc, series_frobenius(a.params, a.coeffs, a.trunc))
 
 
 def one_plus_x_pow(params, trunc, u):
     """(1+x)^u - 1 truncated at trunc, u reduced mod the exponent modulus."""
-    p = params.p
-    u_red = u % _exponent_modulus(p, trunc)
-    out = {}
-    for j in range(1, trunc):
-        c = math.comb(u_red, j) % p
-        if c:
-            out[j] = c
-    return QPoly(params, trunc, out)
+    return QPoly(params, trunc, one_plus_t_pow(params.p, trunc, u))
 
 
 def gamma_q(a, u):
     """The Galois substitution q -> q^u, i.e. x -> (1+x)^u - 1."""
-    if u % a.params.p == 0:
-        raise NonUnitExponent(f"exponent {u} is divisible by p = {a.params.p}",
-                              precondition="gcd(u, p) = 1")
-    base = one_plus_x_pow(a.params, a.trunc, u)
-    k = a.params
-    out = QPoly.zero(a.params, a.trunc)
-    # Horner-style accumulation over ascending exponents.
-    power = QPoly.one(a.params, a.trunc)
-    prev_e = 0
-    for e in sorted(a.coeffs):
-        for _ in range(e - prev_e):
-            power = power * base
-        prev_e = e
-        out = out + power.scale(a.coeffs[e])
-    return out
+    return QPoly._new(a.params, a.trunc, series_substitute(a.params, a.coeffs, u, a.trunc))
 
 
 def try_divide(a, j):
@@ -330,7 +378,7 @@ def try_divide(a, j):
         raise NotDivisible(f"element has valuation {v} < {j}")
     if a.trunc - j < 1:
         raise NotDivisible(f"truncation {a.trunc} too low to divide by x^{j}")
-    return QPoly(a.params, a.trunc - j, {e - j: c for e, c in a.coeffs.items()})
+    return QPoly._new(a.params, a.trunc - j, {e - j: c for e, c in a.coeffs.items()})
 
 
 def invert_unit(a):
@@ -349,4 +397,4 @@ def invert_unit(a):
                 acc = k.add(acc, k.mul(c1, inv[e - e1]))
         if acc:
             inv[e] = k.neg(k.mul(c0_inv, acc))
-    return QPoly(a.params, a.trunc, inv)
+    return QPoly._new(a.params, a.trunc, inv)

@@ -17,6 +17,10 @@ monomial m has valuation m/D where D is the fixed denominator of the
 ring (D = p^(N-1)(p-1) resp. p^s(p-1)).  Monomials with m/D > cut do
 not exist; multiplication drops them, which is reduction in the
 quotient ring.
+
+ValuedTrunc is a view on the series engine of qring with the exclusive
+bound top = m_max + 1: the engine does the arithmetic, Frobenius and
+Galois substitution, the view adds the RingSpec and its checks.
 """
 
 import functools
@@ -24,8 +28,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityExceeded, NonUnitExponent, NotDivisible, ParamMismatch
+from .errors import CapacityExceeded, NotDivisible, ParamMismatch
 from .gf import FiniteFieldParams
+from .qring import (series_add, series_frobenius, series_mul, series_neg, series_pow,
+                    series_substitute, series_terms)
 
 __all__ = [
     "RingSpec",
@@ -116,6 +122,13 @@ class ValuedTrunc:
         self.spec = spec
         self.coeffs = clean
 
+    @classmethod
+    def _new(cls, spec, coeffs):
+        """Wrap a dict the series engine made: reduced, in [0, m_max]."""
+        a = object.__new__(cls)
+        a.spec, a.coeffs = spec, coeffs
+        return a
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -143,57 +156,32 @@ class ValuedTrunc:
         if self.spec != other.spec:
             raise ParamMismatch(f"ring mismatch: {self.spec} vs {other.spec}")
 
-    # -- ring operations ---------------------------------------------------
+    # -- ring operations (the series engine at top = m_max + 1) ------------
 
     def __add__(self, other):
         self._check(other)
-        k = self.spec.params
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = k.add(out.get(m, 0), c)
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return ValuedTrunc(self.spec, out)
+        return ValuedTrunc._new(self.spec,
+                                series_add(self.spec.params, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        k = self.spec.params
-        return ValuedTrunc(self.spec, {m: k.neg(c) for m, c in self.coeffs.items()})
+        return ValuedTrunc._new(self.spec, series_neg(self.spec.params, self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        k = self.spec.params
-        m_max = self.spec.m_max
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = m1 + m2
-                if m > m_max:
-                    continue
-                s = k.add(out.get(m, 0), k.mul(c1, c2))
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return ValuedTrunc(self.spec, out)
+        spec = self.spec
+        return ValuedTrunc._new(spec, series_mul(spec.params, self.coeffs, other.coeffs,
+                                                 spec.m_max + 1))
 
     def scale(self, c):
         k = self.spec.params
         return ValuedTrunc(self.spec, {m: k.mul(c0, c) for m, c0 in self.coeffs.items()})
 
     def __pow__(self, n):
-        result = ValuedTrunc.one(self.spec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        spec = self.spec
+        return ValuedTrunc._new(spec, series_pow(spec.params, self.coeffs, n, spec.m_max + 1))
 
     def shift_down(self, j):
         """Exact division by uniformizer^j at unchanged cut.
@@ -234,15 +222,7 @@ class ValuedTrunc:
         return hash(self._key())
 
     def terms_str(self):
-        if not self.coeffs:
-            return "0"
-        k = self.spec.params
-        parts = []
-        for m in sorted(self.coeffs):
-            c = self.coeffs[m]
-            cs = str(c) if k.f == 1 else "(" + ",".join(map(str, k.digits(c))) + ")"
-            parts.append(f"{cs}*u^{m}")
-        return " + ".join(parts)
+        return series_terms(self.spec.params, self.coeffs, "u")
 
     def to_text(self):
         return f"{self.spec.describe()}; {self.terms_str()}"
@@ -263,22 +243,8 @@ def val(a):
 
 def frobenius(a):
     """The p-th power map: c*u^m -> c^p * u^(p*m)."""
-    k = a.spec.params
-    p = k.p
-    m_max = a.spec.m_max
-    out = {}
-    for m, c in a.coeffs.items():
-        if p * m <= m_max:
-            out[p * m] = k.frobenius(c)
-    return ValuedTrunc(a.spec, out)
-
-
-def _exponent_modulus(p, m_max):
-    # (1 + u)^(p^T) = 1 + u^(p^T) dies at the cut once p^T > m_max.
-    T = 1
-    while T <= m_max:
-        T *= p
-    return T
+    spec = a.spec
+    return ValuedTrunc._new(spec, series_frobenius(spec.params, a.coeffs, spec.m_max + 1))
 
 
 def galois_act(a, u):
@@ -287,28 +253,8 @@ def galois_act(a, u):
     A valuation-preserving ring automorphism; u must be prime to p and is
     reduced mod the exponent modulus of the cut.
     """
-    p = a.spec.params.p
-    if u % p == 0:
-        raise NonUnitExponent(f"exponent {u} is divisible by p = {p}",
-                              precondition="gcd(u, p) = 1")
-    k = a.spec.params
-    m_max = a.spec.m_max
-    u_red = u % _exponent_modulus(p, m_max)
-    base = {}
-    for j in range(1, m_max + 1):
-        c = math.comb(u_red, j) % p
-        if c:
-            base[j] = c
-    base = ValuedTrunc(a.spec, base)
-    out = ValuedTrunc.zero(a.spec)
-    power = ValuedTrunc.one(a.spec)
-    prev_m = 0
-    for m in sorted(a.coeffs):
-        for _ in range(m - prev_m):
-            power = power * base
-        prev_m = m
-        out = out + power.scale(a.coeffs[m])
-    return out
+    spec = a.spec
+    return ValuedTrunc._new(spec, series_substitute(spec.params, a.coeffs, u, spec.m_max + 1))
 
 
 def embed_q(a, spec):
@@ -330,12 +276,7 @@ def embed_q(a, spec):
             precondition="N * val(image of q-1) > cut",
         )
     m_max = spec.m_max
-    out = {}
-    for e, c in a.coeffs.items():
-        m = e * img
-        if m <= m_max:
-            out[m] = c
-    return ValuedTrunc(spec, out)
+    return ValuedTrunc._new(spec, {e * img: c for e, c in a.coeffs.items() if e * img <= m_max})
 
 
 def reduce_to(a, c):

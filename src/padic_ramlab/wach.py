@@ -80,6 +80,15 @@ def mat_map(fn, A):
     return tuple(tuple(fn(a) for a in row) for row in A)
 
 
+def _scalar_mismatch(A, target, zero):
+    """The first entry '(i,j)' where A differs from target Id, or None."""
+    for i, row in enumerate(A):
+        for j, a in enumerate(row):
+            if a != (target if i == j else zero):
+                return f"({i},{j})"
+    return None
+
+
 def mat_det(A):
     d = len(A)
     if d == 0:
@@ -296,18 +305,12 @@ def verify_height(module):
         u_inv.retrunc(slack).shift(h - v) for v, u_inv in pivots
     ])
     # re-multiply and assert the defining identity at the certified slack
-    target = QPoly.monomial(module.params, slack, h) if h < slack else \
-        QPoly.zero(module.params, slack)
-    F_cut = mat_map(lambda a: a.retrunc(slack), module.F)
-    prod = mat_mul(F_cut, V)
     zero = QPoly.zero(module.params, slack)
-    for i in range(module.rank):
-        for j in range(module.rank):
-            want = target if i == j else zero
-            if prod[i][j] != want:
-                raise HeightExceeded(
-                    f"height > {module.height}: F V != x^{h} Id at entry ({i},{j})"
-                )
+    target = QPoly.monomial(module.params, slack, h) if h < slack else zero
+    F_cut = mat_map(lambda a: a.retrunc(slack), module.F)
+    bad = _scalar_mismatch(mat_mul(F_cut, V), target, zero)
+    if bad:
+        raise HeightExceeded(f"height > {module.height}: F V != x^{h} Id at entry {bad}")
     return HeightWitness(V=V, slack=slack)
 
 
@@ -338,16 +341,8 @@ def verify_gamma(module):
 
 def _gamma_minus_one(module, vec):
     """One application of (gamma - 1) to a coefficient column vector."""
-    d = module.rank
-    gv = [gamma_q(a, module.u_g) for a in vec]
-    out = []
-    for i in range(d):
-        acc = None
-        for k in range(d):
-            term = module.G[i][k] * gv[k]
-            acc = term if acc is None else acc + term
-        out.append(acc - vec[i])
-    return out
+    moved = mat_mul(module.G, tuple((gamma_q(a, module.u_g),) for a in vec))
+    return [row[0] - a for row, a in zip(moved, vec)]
 
 
 def gamma_power_containment(module, s):
@@ -393,66 +388,32 @@ def gamma_power_containment(module, s):
     return True
 
 
+def embed_twisted(a, spec):
+    """embed_q of a, its coefficients first twisted by the inverse s-th
+    Frobenius of k in untilted mode at level s (trivial for f = 1)."""
+    k = a.params
+    if spec.mode == tiltring.UNTILTED and k.f > 1:
+        a = QPoly(k, a.trunc, {e: k.frobenius_pow(c, -spec.level) for e, c in a.coeffs.items()})
+    return tiltring.embed_q(a, spec)
+
+
 def specialize(module, spec, witness=None):
     """Push (F, V) into the valued ring given by spec.
 
-    Entries go through embed_q; in untilted mode at level s the
-    coefficients are first twisted by the inverse s-th Frobenius of k
-    (trivial for f = 1).  The identity F_t V_t = (image of q-1)^((p-1)i)
-    is re-asserted at the target cut.
+    Entries go through embed_twisted.  The identity
+    F_t V_t = (image of q-1)^((p-1)i) is re-asserted at the target cut.
     """
     if witness is None:
         witness = verify_height(module)
-    k = module.params
-
-    if spec.mode == tiltring.UNTILTED and k.f > 1:
-        s = spec.level
-
-        def twist(a):
-            return QPoly(a.params, a.trunc,
-                         {e: k.frobenius_pow(c, -s) for e, c in a.coeffs.items()})
-    else:
-        def twist(a):
-            return a
-
-    def push(a):
-        return tiltring.embed_q(twist(a), spec)
-
-    F_t = mat_map(push, module.F)
-    V_t = mat_map(push, witness.V)
-    d = module.rank
+    F_t = mat_map(lambda a: embed_twisted(a, spec), module.F)
+    V_t = mat_map(lambda a: embed_twisted(a, spec), witness.V)
     target_idx = module.height_exponent * spec.embed_exponent
-    target = (
-        tiltring.ValuedTrunc(spec, {target_idx: 1})
-        if target_idx <= spec.m_max
-        else tiltring.ValuedTrunc.zero(spec)
-    )
     zero = tiltring.ValuedTrunc.zero(spec)
-    prod = _vmat_mul(F_t, V_t, spec)
-    for i in range(d):
-        for j in range(d):
-            want = target if i == j else zero
-            if prod[i][j] != want:
-                raise HeightExceeded(
-                    f"specialized F V != (image of q-1)^((p-1)i) at ({i},{j})"
-                )
+    target = tiltring.ValuedTrunc(spec, {target_idx: 1}) if target_idx <= spec.m_max else zero
+    bad = _scalar_mismatch(mat_mul(F_t, V_t), target, zero)
+    if bad:
+        raise HeightExceeded(f"specialized F V != (image of q-1)^((p-1)i) at {bad}")
     return F_t, V_t
-
-
-def _vmat_mul(A, B, spec):
-    d = len(A)
-    if d == 0:
-        return ()
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = tiltring.ValuedTrunc.zero(spec)
-            for k in range(d):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # -- standard rank-1 family ---------------------------------------------------
@@ -613,10 +574,16 @@ def module_from_dict(doc):
         raise RamlabError(f"module file: N = {trunc}", precondition="N >= 1")
     d = _integer(doc, "d")
 
+    def parse_cell(key, r, c, cell):
+        try:
+            return qring.parse_terms(cell, params, trunc)
+        except ValueError as exc:
+            raise ValueError(f"module file: {key}[{r}][{c}]: {exc}") from None
+
     def parse_matrix(key):
         return tuple(
-            tuple(qring.parse_terms(cell, params, trunc) for cell in row)
-            for row in _matrix_cells(doc, key, d)
+            tuple(parse_cell(key, r, c, cell) for c, cell in enumerate(row))
+            for r, row in enumerate(_matrix_cells(doc, key, d))
         )
 
     F = parse_matrix("F")

@@ -169,6 +169,8 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     ({"p": 3, "N": None, "d": 1, "i": 1, "F": [["x^2"]]}, "N is an integer"),
     ({"p": 3, "N": 8, "d": 1, "i": 1, "F": [["x^2"]], "G": [["1"]], "uG": 6},
      "gcd(uG, p) = 1"),
+    ({"p": 3, "N": 8, "d": 2, "i": 1, "F": [["x^2", "2*x^a"], ["0", "x^2"]]},
+     "F[0][1]: bad term '2*x^a'"),
 ])
 def test_solve_module_file_contract(tmp_path, capsys, doc, precondition):
     path = tmp_path / "bad.json"

@@ -198,9 +198,10 @@ def test_parse_minus_signs():
     assert parse_terms("-(3)*x^1", K5, 4).coeffs == {1: 2}
     # output keeps the '+'-only form
     assert parse_terms("1 - x", K3, 4).terms_str() == "1*x^0 + 2*x^1"
-    for bad in ("1 -", "--x", "1 + - x", "-", "2*x^-3"):
-        with pytest.raises(ValueError):
+    for bad in ("1 -", "--x", "1 + - x", "-", "2*x^-3", "x^", "2*x^a"):
+        with pytest.raises(ValueError, match="bad term") as excinfo:
             parse_terms(bad, K3, 4)
+        assert repr(bad) in str(excinfo.value)
 
 
 def test_parse_signed_terms_round_trip():

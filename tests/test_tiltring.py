@@ -76,6 +76,15 @@ def test_frobenius_on_uniformizer_drops_depth():
     assert frobenius(pi) == pi ** 3
 
 
+def test_pow_rejects_negative_exponents():
+    spec = RingSpec(K3, "tilt", 1, 2)
+    pi = ValuedTrunc.uniformizer(spec)
+    assert pi ** 0 == ValuedTrunc.one(spec)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="negative"):
+            pi ** n
+
+
 def test_galois_examples():
     spec2 = RingSpec(K2, "tilt", 1, 4)
     pi = ValuedTrunc.uniformizer(spec2)
