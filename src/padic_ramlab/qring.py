@@ -18,9 +18,41 @@ over coefficient dicts {index -> nonzero k-element} with every index
 below an exclusive bound top.  QPoly (top = N) and tiltring.ValuedTrunc
 (top = m_max + 1) are thin views on it that add their own metadata,
 compatibility check and text header.
+
+Products are computed on packed integers (Kronecker substitution):
+
+  * Layout.  An element of k is sum_j c_j w^j (its F_p-digits, w a root
+    of the field modulus).  Digit j of the coefficient at index e goes
+    to slot e(2f - 1) + j of one Python int, each slot a fixed number of
+    bytes.  Two slots multiply into slot (e1 + e2)(2f - 1) + (j1 + j2),
+    and j1 + j2 <= 2f - 2, so every product slot holds the coefficient
+    of x^e w^j for one (e, j).  Unpacking reads the slots (int.to_bytes
+    and memoryview.cast for 1-, 2-, 4- and 8-byte slots), folds w^j for
+    j >= f through a cached table of w^j mod the field modulus (an
+    F_p-linear map, so no k-multiplication per pair) and reduces mod p.
+  * No carry.  A product slot sums at most min(|a|, |b|) f pairs of
+    digits, each at most (p - 1)^2, where |a| is a's number of terms.
+    The slot width is the least of 1, 2, 4, 8 bytes (else the exact
+    byte count) whose range exceeds min(|a|, |b|) f (p - 1)^2, so no
+    slot carries into the next and every slot is the exact integer sum.
+    A fused matrix entry sum_l A_il B_lj is one sum of packed products,
+    and its bound gains the inner dimension as a factor.  A matrix with
+    only one-term entries is not packed: its products are shifts and
+    scales, summed product by product.
+  * The substitution t -> (1+t)^u - 1 reads a cached table of the packed
+    rows ((1+t)^u - 1)^e, keyed by (p, top, u mod p^T) and built up to
+    the largest index substituted so far; their coefficients lie in F_p,
+    so the result is sum_e c_e row_e with one accumulator per F_p-digit
+    of the c_e, bounded by top (p - 1)^2.
+  * A product with a one-term operand is a shift and a scale.
 """
 
+import functools
+import itertools
 import math
+import operator
+import sys
+from array import array
 
 from .errors import NonUnitExponent, NotDivisible, ParamMismatch
 from .gf import FiniteFieldParams
@@ -39,6 +71,81 @@ __all__ = [
 # Inputs and results are coefficient dicts already reduced into k, with
 # zeros dropped and every index in [0, top); results are fresh dicts.
 
+# Slot widths (bytes) that memoryview.cast reads natively; on a little-endian
+# host the bytes of a packed int are then its slots in order.  Other widths,
+# and big-endian hosts, take the shift-and-mask route.
+_CODES = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _slot_bytes(bound):
+    """Bytes per slot for slot values up to bound: 1, 2, 4 or 8 when one
+    of them suffices, else the exact byte count."""
+    need = max(1, -(-bound.bit_length() // 8))
+    return next((w for w in (1, 2, 4, 8) if w >= need), need)
+
+
+def _pack(k, a, off, w):
+    """a as one int of w-byte slots: F_p-digit j of the coefficient at
+    index e sits in slot (e - off)(2f - 1) + j."""
+    if not a:
+        return 0
+    if k.f == 1 and k.p <= 256:  # a coefficient is its slot's low byte
+        buf = bytearray((max(a) - off + 1) * w)
+        for e, c in a.items():
+            buf[(e - off) * w] = c
+        return int.from_bytes(buf, "little")
+    p, bits = k.p, 8 * w
+    step = (2 * k.f - 1) * bits
+    n = 0
+    for e, c in a.items():
+        at = (e - off) * step
+        while c:
+            c, d = divmod(c, p)
+            n |= d << at
+            at += bits
+    return n
+
+
+def _slots(n, w, total):
+    """The total w-byte slots of n (n < 2^(8 w total)) as a sequence."""
+    code = _CODES.get(w)
+    if code:
+        return memoryview(n.to_bytes(total * w, "little")).cast(code)
+    mask = (1 << 8 * w) - 1
+    return [(n >> (8 * w * s)) & mask for s in range(total)]
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_table(k):
+    """fold[i][j - f]: F_p-digit i of w^j for f <= j <= 2f - 2, where w is
+    the root of the field modulus (encoded as the element p)."""
+    f = k.f
+    powers = [k.digits(k.pow(k.p, j)) for j in range(f, 2 * f - 1)]
+    return tuple(tuple(d[i] for d in powers) for i in range(f))
+
+
+def _unpack(k, n, w, total, count, off):
+    """The dict of a packed product n of total slots: the first count
+    indices, reduced into k, index e stored at e + off."""
+    p, f = k.p, k.f
+    vals = _slots(n, w, total)
+    if f == 1:
+        return {e + off: r for e, v in enumerate(vals[:count]) if (r := v % p)}
+    # Index e holds sum_j v_j w^j over 0 <= j <= 2f - 2; fold the digits
+    # j >= f down through w^j mod the field modulus, an F_p-linear map.
+    stride = 2 * f - 1
+    fold = _fold_table(k)
+    out = {}
+    for e in range(min(count, total // stride)):
+        group = vals[e * stride:(e + 1) * stride]
+        high = group[f:]
+        c = 0
+        for i in reversed(range(f)):
+            c = c * p + (group[i] + sum(map(operator.mul, high, fold[i]))) % p
+        if c:
+            out[e + off] = c
+    return out
+
 
 def series_add(k, a, b):
     out = dict(a)
@@ -55,20 +162,68 @@ def series_neg(k, a):
     return {e: k.neg(c) for e, c in a.items()}
 
 
+def _shift_scale(k, a, b, top):
+    """The product when a has at most one term: b shifted and scaled."""
+    if not a:
+        return {}
+    ((e0, c0),) = a.items()
+    limit = top - e0
+    if k.f == 1:
+        p = k.p
+        return {e + e0: c * c0 % p for e, c in b.items() if e < limit}
+    return {e + e0: k.mul(c, c0) for e, c in b.items() if e < limit}
+
+
 def series_mul(k, a, b, top):
-    """The product, dropping every index >= top."""
+    """The product, dropping every index >= top: one big-int product of
+    the packed operands, each shifted down by its valuation."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) < 2:
+        return _shift_scale(k, a, b, top)
+    va, vb = min(a), min(b)
+    span = max(a) - va + max(b) - vb + 1
+    count = min(top - va - vb, span)
+    if count <= 0:
+        return {}
+    w = _slot_bytes(len(a) * k.f * (k.p - 1) ** 2)
+    product = _pack(k, a, va, w) * _pack(k, b, vb, w)
+    return _unpack(k, product, w, span * (2 * k.f - 1), count, va + vb)
+
+
+def _dot(k, row, col, top):
+    """sum_l row[l] * col[l], product by product."""
     out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e >= top:
-                continue
-            s = k.add(out.get(e, 0), k.mul(c1, c2))
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+    for a, b in zip(row, col):
+        if a and b:
+            term = series_mul(k, a, b, top)
+            out = series_add(k, out, term) if out else term
     return out
+
+
+def series_matmul(k, A, B, top):
+    """The matrix product of dict matrices below top, entry (i, j) one
+    sum over l of packed(A[i][l]) * packed(B[l][j]), unpacked once.
+
+    Every sum shares one slot width: a slot adds at most n * t * f digit
+    products, each at most (p - 1)^2, with n the inner dimension and t the
+    smaller of the largest term counts of A's and of B's entries.  When
+    one side has only one-term entries (t < 2, e.g. an identity or
+    diagonal matrix), every product is a shift and a scale, cheaper than
+    packing and unpacking the other side's entries, so the sums are taken
+    product by product.
+    """
+    terms = min(max(map(len, itertools.chain(*A))), max(map(len, itertools.chain(*B))))
+    if terms < 2:
+        return [[_dot(k, row, col, top) for col in zip(*B)] for row in A]
+    w = _slot_bytes(len(B) * terms * k.f * (k.p - 1) ** 2)
+    span = max(map(max, filter(None, itertools.chain(*A)))) + \
+        max(map(max, filter(None, itertools.chain(*B)))) + 1
+    total = span * (2 * k.f - 1)
+    PA = [[_pack(k, a, 0, w) for a in row] for row in A]
+    PB = [[_pack(k, b, 0, w) for b in row] for row in B]
+    return [[_unpack(k, sum(map(operator.mul, row, col)), w, total, top, 0)
+             for col in zip(*PB)] for row in PA]
 
 
 def series_pow(k, a, n, top):
@@ -110,23 +265,58 @@ def one_plus_t_pow(p, top, u):
     return out
 
 
-def series_substitute(k, a, u, top):
-    """The substitution t -> (1+t)^u - 1 for u prime to p."""
-    if u % k.p == 0:
-        raise NonUnitExponent(f"exponent {u} is divisible by p = {k.p}",
-                              precondition="gcd(u, p) = 1")
-    base = one_plus_t_pow(k.p, top, u)
-    out = {}
-    # Horner-style accumulation over ascending exponents.
-    power = {0: 1}
-    prev_e = 0
-    for e in sorted(a):
-        for _ in range(e - prev_e):
+# One seed-0 round of module_checks substitutes through 14 distinct keys
+# (top <= 32) and cli_batch through 6, with over 99% of lookups hits inside
+# the round; 32 entries hold both.  An entry grows to at most top rows of
+# top slots of w bytes: about 2.9 MB at p = 2, top = 1200.
+@functools.lru_cache(maxsize=32)
+def _substitution_rows(p, top, u):
+    """upto(n), the list of the rows ((1+t)^u - 1)^e below top for e < n
+    (built on first demand, one product per row), packed one F_p
+    coefficient per slot; and the slot width: top * (p - 1)^2 bounds any
+    sum of the rows with F_p weights.  u is already reduced mod the
+    exponent modulus, so equal substitutions share one entry."""
+    k = FiniteFieldParams(p)
+    w = _slot_bytes(top * (p - 1) ** 2)
+    base = one_plus_t_pow(p, top, u)
+    rows, power = [], {0: 1}
+
+    def upto(n):
+        nonlocal power
+        while len(rows) < n:
+            rows.append(_pack(k, power, 0, w))
             power = series_mul(k, power, base, top)
-        prev_e = e
-        c = a[e]
-        out = series_add(k, out, {j: k.mul(b, c) for j, b in power.items()})
-    return out
+        return rows
+    return upto, w
+
+
+def series_substitute(k, a, u, top):
+    """The substitution t -> (1+t)^u - 1 for u prime to p: the sum of
+    a's coefficients times the cached rows ((1+t)^u - 1)^e."""
+    p = k.p
+    if u % p == 0:
+        raise NonUnitExponent(f"exponent {u} is divisible by p = {p}",
+                              precondition="gcd(u, p) = 1")
+    if not a:
+        return {}
+    upto, w = _substitution_rows(p, top, u % exponent_modulus(p, top))
+    rows = upto(max(a) + 1)
+    if k.f == 1:
+        return _unpack(k, sum(c * rows[e] for e, c in a.items()), w, top, top, 0)
+    # The rows lie over F_p, so F_p-digit j of the result is the row sum
+    # weighted by digit j of a's coefficients: one accumulator per digit,
+    # digit plane j stored in slots [j top, (j + 1) top) of one int.
+    planes = [0] * k.f
+    for e, c in a.items():
+        row, j = rows[e], 0
+        while c:
+            c, d = divmod(c, p)
+            planes[j] += d * row
+            j += 1
+    vals = _slots(sum(plane << (8 * w * top * j) for j, plane in enumerate(planes)),
+                  w, k.f * top)
+    digits = zip(*(vals[j * top:(j + 1) * top] for j in range(k.f)))
+    return {m: c for m, ds in enumerate(digits) if (c := k.encode(ds))}
 
 
 def series_terms(k, a, letter):
@@ -207,7 +397,8 @@ class QPoly:
         return max(self.coeffs) if self.coeffs else None
 
     def _check(self, other):
-        if self.params != other.params or self.trunc != other.trunc:
+        if self.trunc != other.trunc or (self.params is not other.params
+                                         and self.params != other.params):
             raise ParamMismatch(
                 f"operands disagree: ({self.params}, N={self.trunc}) vs "
                 f"({other.params}, N={other.trunc})"
@@ -242,17 +433,19 @@ class QPoly:
 
     def shift(self, j):
         """Multiply by x^j (dropping overflow past the truncation)."""
-        return QPoly(
-            self.params,
-            self.trunc,
-            {e + j: c for e, c in self.coeffs.items() if e + j < self.trunc},
-        )
+        shifted = {e + j: c for e, c in self.coeffs.items() if e + j < self.trunc}
+        if j < 0:  # indices may fall below 0: check them
+            return QPoly(self.params, self.trunc, shifted)
+        return QPoly._new(self.params, self.trunc, shifted)
 
     def retrunc(self, new_trunc):
         """Forget information: lower the truncation to new_trunc."""
         if new_trunc > self.trunc:
             raise ValueError("cannot raise truncation")
-        return QPoly(self.params, new_trunc, {e: c for e, c in self.coeffs.items() if e < new_trunc})
+        if new_trunc < 1:
+            raise ValueError("truncation must be >= 1")
+        return QPoly._new(self.params, new_trunc,
+                          {e: c for e, c in self.coeffs.items() if e < new_trunc})
 
     # -- comparison / hashing / display ---------------------------------
 

@@ -95,7 +95,10 @@ class RingSpec:
         return 1
 
     def with_cut(self, cut):
-        return RingSpec(self.params, self.mode, self.level, Fraction(cut))
+        cut = Fraction(cut)
+        if cut == self.cut:
+            return self
+        return RingSpec(self.params, self.mode, self.level, cut)
 
     def monomial_val(self, m):
         return Fraction(m, self.denominator)
@@ -153,7 +156,7 @@ class ValuedTrunc:
         return not self.coeffs
 
     def _check(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise ParamMismatch(f"ring mismatch: {self.spec} vs {other.spec}")
 
     # -- ring operations (the series engine at top = m_max + 1) ------------
@@ -195,7 +198,10 @@ class ValuedTrunc:
         if any(m < j for m in self.coeffs):
             v = min(self.coeffs)
             raise NotDivisible(f"monomial u^{v} not divisible by u^{j}")
-        return ValuedTrunc(self.spec, {m - j: c for m, c in self.coeffs.items()})
+        shifted = {m - j: c for m, c in self.coeffs.items()}
+        if j < 0:  # indices may rise past m_max: check them
+            return ValuedTrunc(self.spec, shifted)
+        return ValuedTrunc._new(self.spec, shifted)
 
     def with_cut(self, cut):
         """Reinterpret at a different cut, keeping stored monomials.
@@ -204,9 +210,9 @@ class ValuedTrunc:
         for formal candidates, not for truncations of unknown elements.
         Lowering the cut is honest reduction.
         """
-        new = RingSpec(self.spec.params, self.spec.mode, self.spec.level, cut)
-        keep = {m: c for m, c in self.coeffs.items() if m <= new.m_max}
-        return ValuedTrunc(new, keep)
+        new = self.spec.with_cut(cut)
+        m_max = new.m_max
+        return ValuedTrunc._new(new, {m: c for m, c in self.coeffs.items() if m <= m_max})
 
     # -- comparison / hashing / display ----------------------------------
 

@@ -1,13 +1,15 @@
 """Independent oracles used by the test suite.
 
 These recompute expected values by routes disjoint from the library:
-dense polynomial arithmetic, Sylvester resultants over Z with a Bareiss
-determinant, and direct valuation computations of conjugate differences
+dense polynomial arithmetic, the series product and Galois substitution
+one field operation per pair of terms (the library packs them into big
+integers), Sylvester resultants over Z with a Bareiss determinant, and direct valuation computations of conjugate differences
 in explicit number rings.  The height witness is recomputed by the
 cofactor determinant and adjugate over k[[x]]/x^N, a route that shares
 only the series arithmetic with the elimination in wach.
 """
 
+import math
 from fractions import Fraction
 
 from padic_ramlab.errors import HeightExceeded, NotDivisible, TruncationTooLow
@@ -32,6 +34,49 @@ def dense_pow(a, e, p, n):
     for _ in range(e):
         out = dense_mul(out, a, p, n)
     return out
+
+
+# -- the series engine pair by pair -------------------------------------------
+# Coefficient dicts {index -> nonzero k-element} below an exclusive bound
+# top, as in qring's series engine, computed one k-operation at a time.
+
+def schoolbook_mul(k, a, b, top):
+    """The product below top, one k.mul per pair of terms."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if e1 + e2 < top:
+                out[e1 + e2] = k.add(out.get(e1 + e2, 0), k.mul(c1, c2))
+    return {e: c for e, c in out.items() if c}
+
+
+def schoolbook_matmul(k, A, B, top):
+    """The matrix product of dict matrices, entry by entry."""
+    out = []
+    for row in A:
+        out_row = []
+        for col in zip(*B):
+            acc = {}
+            for a, b in zip(row, col):
+                for e, c in schoolbook_mul(k, a, b, top).items():
+                    acc[e] = k.add(acc.get(e, 0), c)
+            out_row.append({e: c for e, c in acc.items() if c})
+        out.append(out_row)
+    return out
+
+
+def horner_substitute(k, a, u, top):
+    """t -> (1+t)^u - 1 for u >= 1 prime to p: the powers of the binomial
+    series of u itself (not reduced mod p^T), built by Horner steps."""
+    base = {j: c for j in range(1, top) if (c := math.comb(u, j) % k.p)}
+    out, power, prev = {}, {0: 1}, 0
+    for e in sorted(a):
+        for _ in range(e - prev):
+            power = schoolbook_mul(k, power, base, top)
+        prev = e
+        for j, b in power.items():
+            out[j] = k.add(out.get(j, 0), k.mul(b, a[e]))
+    return {j: c for j, c in out.items() if c}
 
 
 # -- integer polynomial helpers ----------------------------------------------

@@ -240,10 +240,10 @@ def test_iterate_step_sends_xj_to_xjplus1():
         M = random_module(rng, p, rng.choice([1, 2]), 1, N)
         for j in range(1, 5):
             for col in range(M.rank):
-                vec = [QPoly.monomial(M.params, N, j) if r == col
-                       else QPoly.zero(M.params, N) for r in range(M.rank)]
+                vec = tuple((QPoly.monomial(M.params, N, j) if r == col
+                             else QPoly.zero(M.params, N),) for r in range(M.rank))
                 out = _gamma_minus_one(M, vec)
-                for a in out:
+                for (a,) in out:
                     v = a.valuation()
                     assert v is None or v >= j + 1
 
