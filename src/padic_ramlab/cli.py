@@ -173,20 +173,15 @@ def cmd_solve(args):
     budget = get_budget(args)
     cut = Fraction(args.cut) if args.cut else None
     if args.mode == "tilt":
-        depth = args.depth or 2
-        probe = tiltring.RingSpec(module.params, tiltring.TILT, depth, Fraction(1))
-        params = frobsolve.SolverParams.for_tilt(p, module.height, probe)
-        spec = tiltring.RingSpec(module.params, tiltring.TILT, depth,
-                                 cut if cut is not None else params.c_work)
-        tstar = frobsolve.compute_tstar(module, spec, budget, params=params)
+        probe = tiltring.RingSpec(module.params, tiltring.TILT, args.depth or 2, Fraction(1))
+    elif args.level is None:
+        raise RamlabError("untilted mode needs --level")
     else:
-        if args.level is None:
-            raise RamlabError("untilted mode needs --level")
-        params = frobsolve.SolverParams.for_untilted(p, module.height, args.level)
-        default_cut = params.c_work * params.ring_scale
-        spec = tiltring.RingSpec(module.params, tiltring.UNTILTED, args.level,
-                                 cut if cut is not None else default_cut)
-        tstar = frobsolve.compute_tstar_untilted(module, spec, budget, params=params)
+        probe = tiltring.RingSpec(module.params, tiltring.UNTILTED, args.level,
+                                  Fraction(1, 2))
+    params = frobsolve.SolverParams.for_spec(p, module.height, probe)
+    spec = probe.with_cut(cut if cut is not None else params.working_floor)
+    tstar = frobsolve.compute_tstar(module, spec, budget, params=params)
     results = {
         "mode": args.mode,
         "ring": spec.describe(),
@@ -213,14 +208,10 @@ def cmd_solve(args):
         if "character_exponent" in results:
             print(f"character exponent = {results['character_exponent']}")
         if args.trace:
-            for idx, lift in enumerate(tstar.lifts):
+            for idx, transcript in enumerate(results["transcripts"]):
                 print(f"trace[{idx}] defect valuations:")
-                for v in lift.transcript:
-                    if v == float("inf"):
-                        print("  inf")
-                    else:
-                        fr = Fraction(v)
-                        print(f"  {fr.numerator}/{fr.denominator}")
+                for v in transcript:
+                    print(f"  {v}")
     else:
         emit({"command": "solve", "ok": True, "results": results}, started)
     return 0
@@ -249,12 +240,11 @@ def _suite_approx1(args):
     budget = get_budget(args)
     module = wach.make_rank1_module(p, i)
     probe = tiltring.RingSpec(module.params, tiltring.TILT, 1, Fraction(1))
-    params = frobsolve.SolverParams.for_tilt(p, i, probe)
-    a, b = params.a, params.b
-    spec = tiltring.RingSpec(module.params, tiltring.TILT, 1, params.c_work)
-    oracle = frobsolve.enumerate_jc(module, spec.with_cut(a), budget)
+    params = frobsolve.SolverParams.for_spec(p, i, probe)
+    spec = probe.with_cut(params.c_work)
+    oracle = frobsolve.enumerate_jc(module, spec.with_cut(params.a), budget)
     tstar = frobsolve.compute_tstar(module, spec, budget, params=params)
-    cut_b = b if b > 0 else Fraction(1, 2 * spec.denominator)
+    cut_b = frobsolve._candidate_cut(spec, params)
     oracle_reduced = {v.reduce_to(cut_b) for v in oracle.elements}
     tstar_reduced = {v.reduce_to(cut_b) for v in tstar.solutions}
     injective = len(tstar_reduced) == len(tstar.solutions)

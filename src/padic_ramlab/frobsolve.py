@@ -11,10 +11,15 @@ via a contraction
 
     y -> (Q + phi(y)) V / (scaling of valuation i),
 
-unique with correction above b = i/(p-1).  The same engine serves the
-tilt ring and the untilted cyclotomic ring; in the latter the p-th
-power of a sum has no mixed terms (characteristic p), so the binomial
-cross terms of the classical iteration vanish identically.
+unique with correction above b = i/(p-1).  One lift (contraction_lift)
+and one pipeline (compute_tstar) serve the tilt ring and the untilted
+cyclotomic ring; in the latter the p-th power of a sum has no mixed
+terms (characteristic p), so the binomial cross terms of the classical
+iteration vanish identically.  What differs between the rings (the
+valuation scale, the cut cap, the restart at b, the texts of the
+preconditions) is data in SolverParams.  contraction_lift_untilted and
+compute_tstar_untilted remain as entry points that insist on an
+untilted ring.
 
 The solver finds its candidates by linear algebra: the defect map
 x -> phi(x) - x F is F_p-linear (phi is additive in characteristic p,
@@ -47,6 +52,7 @@ from .errors import (
     RegimeViolation,
     StructureViolation,
 )
+from .gf import FiniteFieldParams
 from .qring import exponent_modulus, gamma_q
 from .tiltring import RingSpec, ValuedTrunc, frobenius, galois_act
 from .wach import (embed_twisted, mat_inverse_unit, mat_map, mat_mul, specialize,
@@ -72,13 +78,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Numerical regime of one lifting run.
+    """Numerical regime of one lifting run, in either ring.
 
     c_work and the thresholds a, b are indexed the way the truncation
     ideals are: in tilt mode these are tilted valuations, in untilted
     mode at level s the ring valuation is c/p^s for index c.  h is the
     guaranteed defect-valuation gain per iterate, already expressed in
-    the ring's own valuation units.
+    the ring's own valuation units.  The solver reads every difference
+    between the modes from here and has one path itself.
     """
 
     p: int
@@ -110,6 +117,35 @@ class SolverParams:
         """Ring valuation the correction stays above: b (scaled)."""
         return self.b * self.ring_scale
 
+    @property
+    def working_floor(self):
+        """Ring valuation of the working cut c_work."""
+        return self.c_work * self.ring_scale
+
+    @property
+    def restarts_at_b(self):
+        """Untilted, the cut cap may leave a band the equation cannot
+        constrain; a lift restarts from the reduction at b, which already
+        pins the solution down, so no unconstrained tail can survive."""
+        return self.s is not None
+
+    @property
+    def _units(self):
+        # how a scaled threshold is written: a, or a/p^s
+        return "" if self.s is None else "/p^s"
+
+    @staticmethod
+    def level_of(spec):
+        """The level s of an untilted ring; None for a tilt ring."""
+        return None if spec.mode == tiltring.TILT else spec.level
+
+    @staticmethod
+    def h_max(p, i, s, c_work):
+        """The largest gain per iterate that c_work guarantees, in ring units."""
+        if s is None:
+            return c_work / p - Fraction(i, p - 1)
+        return min(Fraction(1), (p - 1) * (c_work - i) / p**s) - Fraction(i, p**s)
+
     def __post_init__(self):
         object.__setattr__(self, "c_work", Fraction(self.c_work))
         object.__setattr__(self, "h", Fraction(self.h))
@@ -124,35 +160,70 @@ class SolverParams:
             raise ValueError(f"c_work = {self.c_work} must exceed a = {self.a}")
         if self.h <= 0:
             raise ValueError("h must be positive")
-        if self.s is None:
-            if self.h > self.c_work / self.p - self.b:
-                raise ValueError("h inconsistent: need h <= c_work/p - i/(p-1)")
-        else:
-            ps = self.p**self.s
-            bound = min(Fraction(1), Fraction((self.p - 1), 1) * (self.c_work - self.i) / ps) \
-                - Fraction(self.i, ps)
-            if self.h > bound:
-                raise ValueError(
-                    "h inconsistent: need h <= min(1, (p-1)c/p^s) - i/p^s "
-                    "with c = c_work - i"
-                )
+        bound = self.h_max(self.p, self.i, self.s, self.c_work)
+        if self.h > bound:
+            raise ValueError(f"h = {self.h} inconsistent: c_work allows h <= {bound}")
 
     @classmethod
-    def for_tilt(cls, p, i, spec):
-        """Defaults: defect certified one grid step above a, plus margin."""
-        a = Fraction(p * i, p - 1)
-        c_work = a + Fraction(2, spec.denominator)
-        h = c_work / p - Fraction(i, p - 1)
-        return cls(p=p, i=i, s=None, c_work=c_work, h=h)
+    def for_spec(cls, p, i, spec):
+        """Defaults for the ring of spec: c_work two grid steps above a
+        in tilt mode (one step plus margin), one ring grid step untilted
+        (index step p^s/D = 1/(p-1)); h as large as c_work allows."""
+        s = cls.level_of(spec)
+        step = Fraction(2, spec.denominator) if s is None else Fraction(1, p - 1)
+        c_work = Fraction(p * i, p - 1) + step
+        return cls(p=p, i=i, s=s, c_work=c_work, h=cls.h_max(p, i, s, c_work))
+
+    for_tilt = for_spec  # the name tilt-mode callers use
 
     @classmethod
     def for_untilted(cls, p, i, s):
-        """Defaults: one ring grid step above a (index step p^s/D = 1/(p-1))."""
-        a = Fraction(p * i, p - 1)
-        c_work = a + Fraction(1, p - 1)
-        ps = p**s
-        h = min(Fraction(1), Fraction(p - 1) * (c_work - i) / ps) - Fraction(i, ps)
-        return cls(p=p, i=i, s=s, c_work=c_work, h=h)
+        # the untilted defaults read only the level of the ring
+        return cls.for_spec(p, i, RingSpec(FiniteFieldParams(p), tiltring.UNTILTED, s,
+                                           Fraction(1, 2)))
+
+    def check_ring(self, spec):
+        """Raise unless these params are for the ring of spec and its cut
+        reaches the working cut."""
+        if self.s != self.level_of(spec):
+            raise ValueError(f"params have s = {self.s}, ring has s = {self.level_of(spec)}")
+        if spec.cut < self.working_floor:
+            raise PrecisionTooLow(
+                f"ring cut {spec.cut} below working cut {self.working_floor}",
+                precondition=f"cut >= c_work{self._units} > a{self._units}",
+            )
+
+    def check_defect(self, v):
+        """Raise unless the defect valuation v exceeds a (scaled)."""
+        if v <= self.defect_floor:
+            phi = "phi(x0)" if self.s is None else "x0^p"
+            raise PrecisionTooLow(
+                f"defect valuation {v} does not exceed a{self._units} = {self.defect_floor}",
+                precondition=f"val({phi} - x0 F) > a{self._units}",
+            )
+
+    def check_correction(self, corr):
+        """Raise unless the correction valuation corr exceeds b (scaled)."""
+        if corr != math.inf and corr <= self.correction_floor:
+            raise StructureViolation(
+                f"correction valuation {corr} not above b{self._units} = "
+                f"{self.correction_floor}"
+            )
+
+    def working_spec(self, spec):
+        """The ring a lift runs in: the cut raised by i (ring units), so
+        that the division by the scaling element loses nothing below the
+        caller's cut.  Untilted the raise is capped at (D-1)/D: the ring
+        must stay a k-algebra."""
+        cut = spec.cut + self.i * self.ring_scale
+        if self.s is not None:
+            D = spec.denominator
+            cut = max(spec.cut, min(cut, Fraction(D - 1, D)))
+        return spec.with_cut(cut)
+
+    def div_exp(self, spec):
+        """Monomial index of the scaling element, of ring valuation i*scale."""
+        return int(self.i * self.ring_scale * spec.denominator)
 
 
 # -- vectors ------------------------------------------------------------------
@@ -315,151 +386,63 @@ def enumerate_jc(module, spec, budget, cut=None, witness=None):
 
 # -- contraction lifting ------------------------------------------------------
 
-def _run_contraction(F_t, V_t, x0, div_exp, params, max_iter):
-    """Shared fixed-point loop; all inputs live at the working spec."""
-    spec = x0.spec
-    defect = _defect(x0, F_t)
+def contraction_lift(module, spec, x0, params=None, witness=None):
+    """Lift an approximate solution to the exact one, in either ring.
+
+    Returns the unique solution congruent to x0 above valuation b, as a
+    LiftResult whose transcript lists defect valuations per iterate.
+    The iteration runs in the ring of SolverParams.working_spec; the
+    result is reduced back and is the exact truncation of the true
+    solution.  Untilted, this needs p^s > a.
+    """
+    if x0.spec != spec:
+        raise ParamMismatch("x0 does not live in the given ring")
+    if params is None:
+        params = SolverParams.for_spec(module.params.p, module.height, spec)
+    params.check_ring(spec)
+    if witness is None:
+        witness = verify_height(module)
+    spec_int = params.working_spec(spec)
+    F_t, V_t = specialize(module, spec_int, witness=witness)
+    start = x0.with_cut(spec_int.cut)
+    defect = _defect(start, F_t)
+    input_defect = defect.val()
+    params.check_defect(input_defect)
+    if params.restarts_at_b:
+        start = x0.reduce_to(_candidate_cut(spec, params)).with_cut(spec_int.cut)
+        defect = _defect(start, F_t)
+        params.check_defect(defect.val())
     v0 = defect.val()
     transcript = [v0]
-    if v0 <= params.defect_floor:
-        raise PrecisionTooLow(
-            f"defect valuation {v0} does not exceed a = {params.defect_floor} "
-            "(ring units)",
-            precondition="val(phi(x0) - x0 F) > a",
-        )
+    max_iter = 1 if v0 == math.inf else math.ceil((spec_int.cut - v0) / params.h) + 8
     Q = defect
-    y = PhiVector.zero(spec, x0.dim)
-    x = x0
-    for it in range(1, max_iter + 1):
-        if defect.is_zero():
-            return LiftResult(solution=x, transcript=tuple(transcript), iterations=it - 1)
-        numerator = Q + y.frobenius()
-        y = numerator.times_matrix(V_t).shift_down(div_exp)
-        x = x0 + y
+    y = PhiVector.zero(spec_int, x0.dim)
+    x = start
+    while not defect.is_zero():
+        if len(transcript) > max_iter:
+            raise NoConvergenceWithinCut(
+                f"defect still nonzero after {max_iter} iterates at cut {spec_int.cut}")
+        y = (Q + y.frobenius()).times_matrix(V_t).shift_down(params.div_exp(spec))
+        x = start + y
         defect = _defect(x, F_t)
-        v = defect.val()
+        prev, v = transcript[-1], defect.val()
         transcript.append(v)
-        prev = transcript[-2]
         if v != math.inf and v - prev < params.h:
             raise StructureViolation(
                 f"contraction rate violated: defect went {prev} -> {v}, "
                 f"gain below h = {params.h}"
             )
-    raise NoConvergenceWithinCut(
-        f"defect still nonzero after {max_iter} iterates at cut {spec.cut}"
-    )
-
-
-def _max_iterations(cut, start_val, h):
-    if start_val == math.inf:
-        return 1
-    return int(math.ceil((cut - start_val) / h)) + 8
-
-
-def contraction_lift(module, spec, x0, params=None, witness=None):
-    """Lift an approximate tilt-mode solution to an exact one.
-
-    Returns the unique solution congruent to x0 above valuation b, as a
-    LiftResult whose transcript lists defect valuations per iterate.
-    Internally the cut is inflated by i so that divisions by the scaling
-    element (valuation i) lose nothing below the caller's cut; the
-    result is reduced back and is the exact truncation of the true
-    solution.
-    """
-    if spec.mode != tiltring.TILT:
-        raise RegimeViolation("contraction_lift expects a tilt-mode ring")
-    if x0.spec != spec:
-        raise ParamMismatch("x0 does not live in the given ring")
-    p, i = module.params.p, module.height
-    if params is None:
-        params = SolverParams.for_tilt(p, i, spec)
-    if params.s is not None:
-        raise ValueError("tilt lift given untilted params")
-    if spec.cut < params.c_work:
-        raise PrecisionTooLow(
-            f"ring cut {spec.cut} below working cut {params.c_work}",
-            precondition="cut >= c_work > a",
-        )
-    if witness is None:
-        witness = verify_height(module)
-    spec_int = spec.with_cut(spec.cut + i)
-    F_t, V_t = specialize(module, spec_int, witness=witness)
-    x0_int = x0.with_cut(spec_int.cut)
-    div_exp = i * spec.denominator  # scaling element has valuation i
-    max_iter = _max_iterations(spec_int.cut, _defect(x0_int, F_t).val(), params.h)
-    result = _run_contraction(F_t, V_t, x0_int, div_exp, params, max_iter)
-    solution = result.solution.reduce_to(spec.cut)
-    corr = (solution - x0).val()
-    if corr != math.inf and corr <= params.correction_floor:
-        raise StructureViolation(
-            f"correction valuation {corr} not above b = {params.correction_floor}"
-        )
-    return LiftResult(solution=solution, transcript=result.transcript,
-                      iterations=result.iterations,
-                      input_defect=result.transcript[0])
+    solution = x.reduce_to(spec.cut)
+    params.check_correction((solution - x0).val())
+    return LiftResult(solution=solution, transcript=tuple(transcript),
+                      iterations=len(transcript) - 1, input_defect=input_defect)
 
 
 def contraction_lift_untilted(module, spec, x0, params=None, witness=None):
-    """Untilted variant: solve x^p = x F over O_E modulo valuations > cut.
-
-    Requires the regime p^s > a.  In this characteristic-p quotient the
-    mixed binomial terms of (x + y)^p vanish, so the iteration is the
-    same contraction as in tilt mode with the scaling element of
-    valuation i/p^s.  The cut inflation is capped below 1 (the ring must
-    stay a k-algebra); within that cap the returned solution is again an
-    exact truncation.
-    """
-    if spec.mode != tiltring.UNTILTED:
+    """contraction_lift for an untilted ring O_E / (val > cut); rejects a tilt ring."""
+    if SolverParams.level_of(spec) is None:
         raise RegimeViolation("contraction_lift_untilted expects an untilted ring")
-    if x0.spec != spec:
-        raise ParamMismatch("x0 does not live in the given ring")
-    p, i = module.params.p, module.height
-    s = spec.level
-    a = Fraction(p * i, p - 1)
-    if p**s <= a:
-        raise RegimeViolation(
-            f"p^s = {p ** s} <= a = {a}: level s too small",
-            precondition="p^s > a",
-        )
-    if params is None:
-        params = SolverParams.for_untilted(p, i, s)
-    if params.s != s:
-        raise ValueError(f"params are for level {params.s}, ring has level {s}")
-    if spec.cut < params.c_work * params.ring_scale:
-        raise PrecisionTooLow(
-            f"ring cut {spec.cut} below working cut {params.c_work * params.ring_scale}",
-            precondition="cut >= c_work/p^s > a/p^s",
-        )
-    if witness is None:
-        witness = verify_height(module)
-    D = spec.denominator
-    cap = Fraction(D - 1, D)
-    c_int = min(spec.cut + Fraction(i, p**s), cap)
-    spec_int = spec.with_cut(c_int) if c_int > spec.cut else spec
-    F_t, V_t = specialize(module, spec_int, witness=witness)
-    x0_int = x0.with_cut(spec_int.cut)
-    input_defect = _defect(x0_int, F_t).val()
-    if input_defect <= params.defect_floor:
-        raise PrecisionTooLow(
-            f"defect valuation {input_defect} does not exceed a/p^s = "
-            f"{params.defect_floor}",
-            precondition="val(x0^p - x0 F) > a/p^s",
-        )
-    # The cut cap may leave a band the equation cannot constrain; restart
-    # from the reduction at the injectivity level b, which already pins
-    # the solution down, so no unconstrained tail of x0 can survive.
-    x0_clean = x0.reduce_to(_candidate_cut(spec, params)).with_cut(spec_int.cut)
-    div_exp = i * (p - 1)  # theta^(i(p-1)) has valuation i/p^s
-    max_iter = _max_iterations(spec_int.cut, _defect(x0_clean, F_t).val(), params.h)
-    result = _run_contraction(F_t, V_t, x0_clean, div_exp, params, max_iter)
-    solution = result.solution.reduce_to(spec.cut)
-    corr = (solution - x0).val()
-    if corr != math.inf and corr <= params.correction_floor:
-        raise StructureViolation(
-            f"correction valuation {corr} not above b/p^s = {params.correction_floor}"
-        )
-    return LiftResult(solution=solution, transcript=result.transcript,
-                      iterations=result.iterations, input_defect=input_defect)
+    return contraction_lift(module, spec, x0, params=params, witness=witness)
 
 
 # -- the full pipeline --------------------------------------------------------
@@ -507,7 +490,8 @@ def _candidate_space(spec, params, F_t, budget):
     column is the defect of that unit vector at the full cut, read at
     each monomial of valuation <= a and split into digits; the candidates
     are the kernel.  Its p^r elements are checked against the budget,
-    then returned sorted, the order of enumerate_jc.
+    then returned as (coordinates in the kernel basis, candidate) pairs
+    sorted by candidate, the order of enumerate_jc.
     """
     k = spec.params
     p, f, d = k.p, k.f, len(F_t)
@@ -537,114 +521,79 @@ def _candidate_space(spec, params, F_t, budget):
     for combo in product(range(p), repeat=len(basis)):
         v = [sum(c * b[col] for c, b in zip(combo, basis)) % p for col in range(n)]
         coeffs = [k.encode(v[s:s + f]) for s in range(0, n, f)]
-        found.append(PhiVector(spec_b, tuple(
+        found.append((combo, PhiVector(spec_b, tuple(
             ValuedTrunc(spec_b, dict(enumerate(coeffs[j * slots:(j + 1) * slots])))
-            for j in range(d))))
-    return sorted(found, key=lambda x: x._key())
+            for j in range(d)))))
+    return sorted(found, key=lambda cx: cx[1]._key())
 
 
-def _tstar_pipeline(module, spec, budget, params, lift_fn):
-    """Shared pipeline: take the candidates at the injectivity cut b from
-    the kernel of the defect map, zero-extend them, lift every one.
+def compute_tstar(module, spec, budget, params=None):
+    """All exact solutions of phi(x) = x F over the ring of spec, in either mode.
 
-    The candidates are the x at cut b whose zero extension has defect
-    valuation above a; by the F_p-linearity of the defect they form a
-    kernel of dimension r, found by elimination on f*d*(m_b+1) digits.
-    The budget bounds the p^r candidates that are materialized (a
-    BudgetExceeded carries p^r), not the coefficient grid, which only
-    the enumerate_jc oracle scans.
-
-    A candidate lifts exactly when it is the reduction of a true
-    solution, so the lifted set is the full solution set; it is asserted
-    to be an F_p-vector space of size p^r.
+    The candidates are the x at the injectivity cut b whose zero
+    extension has defect valuation above a, a kernel of dimension r
+    (_candidate_space); each is lifted through contraction_lift.  The
+    budget bounds the p^r candidates (a BudgetExceeded carries p^r), not
+    the coefficient grid, which only the enumerate_jc oracle scans.  A
+    candidate lifts exactly when it is the reduction of a true solution,
+    so the lifted set is the full solution set; it is asserted to be the
+    F_p-span of the lifts of the kernel basis.
     """
-    p = module.params.p
+    if params is None:
+        params = SolverParams.for_spec(module.params.p, module.height, spec)
+    params.check_ring(spec)
     witness = verify_height(module)
     if module.rank == 0:
         empty = PhiVector(spec, ())
         return TstarResult(solutions=(empty,), rank=0, lifts=(), params=params, spec=spec)
     F_t, _ = specialize(module, spec, witness=witness)
-    solutions = []
-    lifts = []
-    for cand in _candidate_space(spec, params, F_t, budget):
-        x0 = cand.with_cut(spec.cut)
-        if _defect(x0, F_t).val() <= params.defect_floor:
-            raise StructureViolation("kernel element has defect valuation <= a")
-        lifted = lift_fn(module, spec, x0, params=params, witness=witness)
-        solutions.append(lifted.solution)
-        lifts.append(lifted)
+    candidates = _candidate_space(spec, params, F_t, budget)
+    lifts = [contraction_lift(module, spec, cand.with_cut(spec.cut), params=params,
+                              witness=witness)
+             for _, cand in candidates]
+    solutions = [lifted.solution for lifted in lifts]
     if len(set(solutions)) != len(solutions):
         raise StructureViolation("distinct candidates lifted to one solution")
-    _assert_fp_structure(solutions, spec, p)
-    count = len(solutions)
-    rank = 0
-    while p**rank < count:
-        rank += 1
-    if p**rank != count:
-        raise StructureViolation(f"|solutions| = {count} is not a power of p = {p}")
+    _assert_fp_structure(solutions, [c for c, _ in candidates])
+    rank = len(candidates[0][0])
     if rank > module.rank * module.params.f:
         raise StructureViolation(
             f"rank {rank} exceeds the bound d*f = {module.rank * module.params.f}"
         )
-    order = sorted(range(count), key=lambda t: solutions[t]._key())
+    lifts.sort(key=lambda lifted: lifted.solution._key())
     return TstarResult(
-        solutions=tuple(solutions[t] for t in order),
+        solutions=tuple(lifted.solution for lifted in lifts),
         rank=rank,
-        lifts=tuple(lifts[t] for t in order),
+        lifts=tuple(lifts),
         params=params,
         spec=spec,
     )
 
 
-def compute_tstar(module, spec, budget, params=None):
-    """All exact solutions of phi(x) = x F over the tilt ring at the cut."""
-    if spec.mode != tiltring.TILT:
-        raise RegimeViolation("compute_tstar expects a tilt-mode ring")
-    p, i = module.params.p, module.height
-    if params is None:
-        params = SolverParams.for_tilt(p, i, spec)
-    if spec.cut < params.c_work:
-        raise PrecisionTooLow(
-            f"ring cut {spec.cut} below working cut {params.c_work}",
-            precondition="cut >= c_work > a",
-        )
-    return _tstar_pipeline(module, spec, budget, params, contraction_lift)
-
-
 def compute_tstar_untilted(module, spec, budget, params=None):
-    """Untilted analogue over O_E mod valuations > cut; needs p^s > a."""
-    if spec.mode != tiltring.UNTILTED:
+    """compute_tstar for an untilted ring O_E / (val > cut); rejects a tilt ring."""
+    if SolverParams.level_of(spec) is None:
         raise RegimeViolation("compute_tstar_untilted expects an untilted ring")
-    p, i = module.params.p, module.height
-    s = spec.level
-    a = Fraction(p * i, p - 1)
-    if p**s <= a:
-        raise RegimeViolation(
-            f"p^s = {p ** s} <= a = {a}: level s too small",
-            precondition="p^s > a",
-        )
-    if params is None:
-        params = SolverParams.for_untilted(p, i, s)
-    if spec.cut < params.c_work * params.ring_scale:
-        raise PrecisionTooLow(
-            f"ring cut {spec.cut} below working cut "
-            f"{params.c_work * params.ring_scale}",
-            precondition="cut >= c_work/p^s > a/p^s",
-        )
-    return _tstar_pipeline(module, spec, budget, params, contraction_lift_untilted)
+    return compute_tstar(module, spec, budget, params=params)
 
 
-def _assert_fp_structure(solutions, spec, p):
-    pool = set(solutions)
-    if not pool:
-        raise StructureViolation("empty solution set (zero vector missing)")
-    for x in solutions:
-        for c in range(p):
-            if x.scale(c) not in pool:
-                raise StructureViolation("solution set not stable under F_p-scaling")
-        for y in solutions:
-            if (x + y) not in pool:
-                raise StructureViolation("solution set not stable under addition")
+def _assert_fp_structure(solutions, coords):
+    """Assert that each solution is the F_p-combination of the basis lifts
+    that its candidate's kernel coordinates name.  Lifting is F_p-linear
+    (the lift is unique, reduction at b injective), so for p^r distinct
+    solutions this holds exactly when the set is closed under + and
+    F_p-scaling, at r vector operations per solution instead of p^r."""
+    lift_of = dict(zip(coords, solutions))
+    r = len(coords[0])
+    basis = [lift_of[tuple(int(j == t) for t in range(r))] for j in range(r)]
+    for c, x in zip(coords, solutions):
+        combo = PhiVector.zero(x.spec, x.dim)
+        for cj, sj in zip(c, basis):
+            if cj:
+                combo = combo + sj.scale(cj)
+        if combo != x:
+            raise StructureViolation(
+                f"solution {x.to_text()} is not its F_p-combination of the basis lifts")
 
 
 # -- Galois structure ---------------------------------------------------------

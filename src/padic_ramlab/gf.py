@@ -12,8 +12,6 @@ basis.  Keeping elements as ints makes them free to hash and compare.
 import functools
 from dataclasses import dataclass
 
-from .errors import ParamMismatch
-
 
 def is_prime(n):
     if n < 2:
@@ -106,10 +104,6 @@ class FiniteFieldParams:
     @property
     def modulus(self):
         return _field_modulus(self.p, self.f)
-
-    def check_compatible(self, other):
-        if self != other:
-            raise ParamMismatch(f"field mismatch: {self} vs {other}")
 
     # -- element codec -------------------------------------------------
 

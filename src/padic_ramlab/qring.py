@@ -397,12 +397,14 @@ class QPoly:
         return max(self.coeffs) if self.coeffs else None
 
     def _check(self, other):
-        if self.trunc != other.trunc or (self.params is not other.params
-                                         and self.params != other.params):
-            raise ParamMismatch(
-                f"operands disagree: ({self.params}, N={self.trunc}) vs "
-                f"({other.params}, N={other.trunc})"
-            )
+        try:
+            if self.trunc == other.trunc and (self.params is other.params
+                                              or self.params == other.params):
+                return
+            theirs = f"({other.params}, N={other.trunc})"
+        except AttributeError:  # not a QPoly; free when nothing is raised
+            theirs = type(other).__name__
+        raise ParamMismatch(f"operands disagree: ({self.params}, N={self.trunc}) vs {theirs}")
 
     # -- ring operations (the series engine at top = N) --------------------
 

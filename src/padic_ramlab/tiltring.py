@@ -156,8 +156,13 @@ class ValuedTrunc:
         return not self.coeffs
 
     def _check(self, other):
-        if self.spec is not other.spec and self.spec != other.spec:
-            raise ParamMismatch(f"ring mismatch: {self.spec} vs {other.spec}")
+        try:
+            if self.spec is other.spec or self.spec == other.spec:
+                return
+            theirs = other.spec
+        except AttributeError:  # not a ValuedTrunc; free when nothing is raised
+            theirs = type(other).__name__
+        raise ParamMismatch(f"ring mismatch: {self.spec} vs {theirs}")
 
     # -- ring operations (the series engine at top = m_max + 1) ------------
 

@@ -286,3 +286,14 @@ def cofactor_inverse_unit(A):
     """adj(A) / det(A) over k[[x]]/x^N, det(A) a unit."""
     det_inv = invert_unit(mat_det(A))
     return tuple(tuple(a * det_inv for a in row) for row in mat_adjugate(A))
+
+
+# -- F_p-space closure by brute force ------------------------------------------
+
+def fp_closed(solutions, p):
+    """Whether a nonempty set of vectors is closed under F_p-scaling and +,
+    by p^(2r) set lookups (the solver checks the span of its basis lifts)."""
+    pool = set(solutions)
+    return bool(pool) and all(
+        x.scale(c) in pool for x in solutions for c in range(p)
+    ) and all(x + y in pool for x in solutions for y in solutions)

@@ -108,6 +108,13 @@ def test_solve_untilted_regime_error(rank1_file, capsys):
     assert "p^s > a" in err
 
 
+def test_solve_negative_level_exit_2(rank1_file, capsys):
+    code, _, err = run(capsys, "solve", rank1_file, "--mode", "untilted",
+                       "--level", "-1")
+    assert code == 2
+    assert err == "error: level must be >= 0\n"
+
+
 def test_solve_deterministic_output(rank1_file, capsys):
     _, out1, _ = run(capsys, "solve", rank1_file, "--depth", "1")
     _, out2, _ = run(capsys, "solve", rank1_file, "--depth", "1")

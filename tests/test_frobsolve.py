@@ -35,6 +35,8 @@ from padic_ramlab.wach import (
     specialize,
 )
 
+from .oracles import fp_closed
+
 K2 = FiniteFieldParams(2)
 K3 = FiniteFieldParams(3)
 
@@ -348,7 +350,7 @@ ORACLE_GRID_CAP = 1000
 def kernel_and_oracle(module, spec, params):
     """The kernel candidates next to the filtered enumerate_jc grid."""
     F_t, _ = specialize(module, spec)
-    kernel = _candidate_space(spec, params, F_t, budget=10**6)
+    kernel = [x for _, x in _candidate_space(spec, params, F_t, budget=10**6)]
     cut_b = spec.with_cut(_candidate_cut(spec, params))
     oracle = enumerate_jc(module, cut_b, budget=ORACLE_GRID_CAP)
     filtered = [x for x in oracle.elements
@@ -356,8 +358,16 @@ def kernel_and_oracle(module, spec, params):
     return kernel, filtered
 
 
-def random_solver_case(rng):
-    """A random module and ring in either mode whose oracle grid is small."""
+def untilted_level(p, i, s=0):
+    """The least level from s on with p^s > a and working cut c_work/p^s < 1."""
+    while p**s <= Fraction(p * i + 1, p - 1):
+        s += 1
+    return s
+
+
+def random_solver_case(rng, lift=False):
+    """A random module and ring in either mode whose oracle grid is small;
+    with lift, the module's truncation also covers a lift's working ring."""
     while True:
         p = rng.choice([2, 3, 5])
         d = rng.choice([1, 2])
@@ -369,16 +379,18 @@ def random_solver_case(rng):
             params = SolverParams.for_tilt(p, i, RingSpec(K, "tilt", depth, 1))
             spec = RingSpec(K, "tilt", depth, params.c_work)
         else:
-            s = rng.choice([0, 1])
-            while p**s <= Fraction(p * i + 1, p - 1):  # cut c_work/p^s < 1
-                s += 1
+            s = untilted_level(p, i, rng.choice([0, 1]))
             params = SolverParams.for_untilted(p, i, s)
             spec = RingSpec(K, "untilted", s, params.c_work * params.ring_scale)
         slots = spec.with_cut(_candidate_cut(spec, params)).m_max + 1
         if K.order ** (d * slots) <= ORACLE_GRID_CAP:
             break
     # V is certified below N - (p-1)i, which must exceed the image of the cut
-    module = random_module(rng, p, d, i, (2 * p - 1) * i + 4 + rng.randint(0, 4), f=f)
+    trunc = (2 * p - 1) * i + 4 + rng.randint(0, 4)
+    if lift:
+        top = params.working_spec(spec).m_max // spec.embed_exponent
+        trunc = max(trunc, top + (p - 1) * i + 2)
+    module = random_module(rng, p, d, i, trunc, f=f)
     return module, spec, params
 
 
@@ -389,6 +401,35 @@ def test_kernel_matches_grid_oracle_on_random_modules():
         module, spec, params = random_solver_case(rng)
         kernel, filtered = kernel_and_oracle(module, spec, params)
         assert kernel == filtered, (module, spec)
+        modes.add(spec.mode)
+    assert modes == {"tilt", "untilted"}
+
+
+def demo_solver_cases():
+    for path in sorted((Path(__file__).resolve().parents[1] / "demos" / "modules")
+                       .glob("*.json")):
+        module = load_module_file(path)
+        p, i = module.params.p, module.height
+        for probe in (RingSpec(module.params, "tilt", 2, 1),
+                      RingSpec(module.params, "untilted", untilted_level(p, i),
+                               Fraction(1, 2))):
+            params = SolverParams.for_spec(p, i, probe)
+            yield module, probe.with_cut(params.working_floor), params
+
+
+def test_tstar_is_a_closed_span_of_kernel_dimension():
+    rng = random.Random(608)
+    cases = [random_solver_case(rng, lift=True) for _ in range(40)]
+    cases += demo_solver_cases()
+    modes = set()
+    for module, spec, params in cases:
+        out = compute_tstar(module, spec, budget=10**6, params=params)
+        F_t, _ = specialize(module, spec)
+        coords, _ = _candidate_space(spec, params, F_t, budget=10**6)[0]
+        p = module.params.p
+        assert fp_closed(out.solutions, p), (module, spec)
+        assert len(out) == p**out.rank
+        assert out.rank == len(coords)
         modes.add(spec.mode)
     assert modes == {"tilt", "untilted"}
 

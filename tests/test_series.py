@@ -289,6 +289,16 @@ def test_mat_mul_rejects_mismatched_operands():
         mat_mul(((u, u),), ((u,), (ValuedTrunc.uniformizer(spec.with_cut(3)),)))
 
 
+def test_mixing_the_two_views_is_a_param_mismatch():
+    k3 = FiniteFieldParams(3)
+    x = QPoly.x(k3, 6)
+    u = ValuedTrunc.uniformizer(RingSpec(k3, "tilt", 1, 2))
+    for mix in (lambda: x + u, lambda: u + x, lambda: x * u, lambda: u * x,
+                lambda: mat_mul(((x,),), ((u,),)), lambda: mat_mul(((u,),), ((x,),))):
+        with pytest.raises(ParamMismatch, match="QPoly|ValuedTrunc"):
+            mix()
+
+
 @hypothesis.settings(**SETTINGS)
 @given(st.data())
 def test_table_substitution_matches_horner(data):
