@@ -2,31 +2,21 @@
 
 The central equation is the semilinear system phi(x) = x F for a row
 vector x over a truncated ring, F the specialized Frobenius matrix of a
-height-i module.  Approximate solutions whose defect
+height-i module.  Approximate solutions whose defect Q = phi(x0) - x0 F
+has valuation above a = p*i/(p-1) lift to exact solutions via the
+contraction y -> (Q + phi(y)) V / (scaling of valuation i), unique with
+correction above b = i/(p-1).  One lift and one pipeline serve the tilt
+ring and the untilted cyclotomic ring, where the p-th power of a sum has
+no mixed terms, so the binomial cross terms of the classical iteration
+vanish; what differs between the rings is data in SolverParams.
 
-    Q = phi(x0) - x0 F
-
-has valuation above the threshold a = p*i/(p-1) lift to exact solutions
-via a contraction
-
-    y -> (Q + phi(y)) V / (scaling of valuation i),
-
-unique with correction above b = i/(p-1).  One lift (contraction_lift)
-and one pipeline (compute_tstar) serve the tilt ring and the untilted
-cyclotomic ring; in the latter the p-th power of a sum has no mixed
-terms (characteristic p), so the binomial cross terms of the classical
-iteration vanish identically.  What differs between the rings (the
-valuation scale, the cut cap, the restart at b, the texts of the
-preconditions) is data in SolverParams.  contraction_lift_untilted and
-compute_tstar_untilted remain as entry points that insist on an
-untilted ring.
-
-The solver finds its candidates by linear algebra: the defect map
-x -> phi(x) - x F is F_p-linear (phi is additive in characteristic p,
-x F is k-linear), so the approximate solutions at the injectivity cut b
-are the kernel of one F_p-linear map, computed by Gauss-Jordan
-elimination mod p.  The budget bounds the p^r kernel elements that are
-materialized and lifted.
+The defect map x -> phi(x) - x F is F_p-linear (phi is additive in
+characteristic p, x F is k-linear).  So the candidates at the
+injectivity cut b are the kernel of one F_p-linear map (Gauss-Jordan
+elimination mod p), and the lift is F_p-linear as well: compute_tstar
+lifts only the r kernel basis vectors, as the rows of one matrix, and
+forms the p^r solutions as their F_p-combinations.  The budget bounds
+the p^r solutions formed.  contraction_lift is the one-row case.
 
 enumerate_jc is the deliberately brute-force oracle: a full grid scan
 of coefficient vectors against the congruence, guarded by a budget on
@@ -36,22 +26,14 @@ validated against.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Optional
 
 from . import tiltring
-from .errors import (
-    BudgetExceeded,
-    NonCharacter,
-    NoConvergenceWithinCut,
-    ParamMismatch,
-    PrecisionTooLow,
-    RankError,
-    RegimeViolation,
-    StructureViolation,
-)
+from .errors import (BudgetExceeded, NonCharacter, NoConvergenceWithinCut, ParamMismatch,
+                     PrecisionTooLow, RankError, RegimeViolation, StructureViolation)
 from .gf import FiniteFieldParams
 from .qring import exponent_modulus, gamma_q
 from .tiltring import RingSpec, ValuedTrunc, frobenius, galois_act
@@ -235,7 +217,7 @@ class PhiVector:
 
     def __init__(self, spec, entries):
         for e in entries:
-            if e.spec != spec:
+            if e.spec is not spec and e.spec != spec:
                 raise ParamMismatch("vector entries live in different rings")
         self.spec = spec
         self.entries = tuple(entries)
@@ -243,10 +225,6 @@ class PhiVector:
     @classmethod
     def zero(cls, spec, d):
         return cls(spec, tuple(ValuedTrunc.zero(spec) for _ in range(d)))
-
-    @property
-    def dim(self):
-        return len(self.entries)
 
     def val(self):
         return min((tiltring.val(e) for e in self.entries), default=math.inf)
@@ -265,9 +243,6 @@ class PhiVector:
 
     def frobenius(self):
         return PhiVector(self.spec, tuple(frobenius(e) for e in self.entries))
-
-    def times_matrix(self, M):
-        return PhiVector(self.spec, mat_mul((self.entries,), M)[0])
 
     def shift_down(self, j):
         return PhiVector(self.spec, tuple(e.shift_down(j) for e in self.entries))
@@ -300,8 +275,14 @@ class PhiVector:
         return f"PhiVector({self.spec.describe()}; {self.to_text()})"
 
 
+def _defects(rows, F_t):
+    """phi(x) - x F for every row x at once: one fused matrix product."""
+    products = mat_mul(tuple(x.entries for x in rows), F_t)
+    return [x.frobenius() - PhiVector(x.spec, xF) for x, xF in zip(rows, products)]
+
+
 def _defect(x, F_t):
-    return x.frobenius() - x.times_matrix(F_t) if x.dim else PhiVector(x.spec, ())
+    return _defects([x], F_t)[0]
 
 
 @dataclass(frozen=True)
@@ -342,13 +323,6 @@ class TstarResult:
 
 # -- brute-force oracle -------------------------------------------------------
 
-def _all_ring_elements(spec):
-    q = spec.params.order
-    slots = spec.m_max + 1
-    for assignment in product(range(q), repeat=slots):
-        yield ValuedTrunc(spec, {m: c for m, c in enumerate(assignment) if c})
-
-
 def enumerate_jc(module, spec, budget, cut=None, witness=None):
     """Exhaustively list solutions of phi(x) = x F at the given cut.
 
@@ -368,18 +342,12 @@ def enumerate_jc(module, spec, budget, cut=None, witness=None):
             search_space=size,
             budget=budget,
         )
-    if d == 0:
-        empty = PhiVector(spec, ())
-        return JcSet(spec=spec, cut=spec.cut, elements=(empty,))
     F_t, _ = specialize(module, spec, witness=witness)
-    found = []
-    coords = list(_all_ring_elements(spec))
-    for combo in product(coords, repeat=d):
-        x = PhiVector(spec, combo)
-        if _defect(x, F_t).is_zero():
-            found.append(x)
-    result = JcSet(spec=spec, cut=spec.cut,
-                   elements=tuple(sorted(found, key=lambda v: v._key())))
+    coords = [ValuedTrunc(spec, {m: c for m, c in enumerate(digits) if c})
+              for digits in product(range(q), repeat=spec.m_max + 1)]
+    grid = (PhiVector(spec, combo) for combo in product(coords, repeat=d))
+    found = sorted((x for x in grid if _defect(x, F_t).is_zero()), key=PhiVector._key)
+    result = JcSet(spec=spec, cut=spec.cut, elements=tuple(found))
     result.verify(F_t)
     return result
 
@@ -391,9 +359,9 @@ def contraction_lift(module, spec, x0, params=None, witness=None):
 
     Returns the unique solution congruent to x0 above valuation b, as a
     LiftResult whose transcript lists defect valuations per iterate.
-    The iteration runs in the ring of SolverParams.working_spec; the
-    result is reduced back and is the exact truncation of the true
-    solution.  Untilted, this needs p^s > a.
+    The iteration (the one-row case of _contract) runs in the ring of
+    SolverParams.working_spec; the result is reduced back and is the
+    exact truncation of the true solution.  Untilted, this needs p^s > a.
     """
     if x0.spec != spec:
         raise ParamMismatch("x0 does not live in the given ring")
@@ -405,37 +373,91 @@ def contraction_lift(module, spec, x0, params=None, witness=None):
     spec_int = params.working_spec(spec)
     F_t, V_t = specialize(module, spec_int, witness=witness)
     start = x0.with_cut(spec_int.cut)
-    defect = _defect(start, F_t)
-    input_defect = defect.val()
+    input_defect = _defect(start, F_t).val()
     params.check_defect(input_defect)
     if params.restarts_at_b:
         start = x0.reduce_to(_candidate_cut(spec, params)).with_cut(spec_int.cut)
-        defect = _defect(start, F_t)
-        params.check_defect(defect.val())
-    v0 = defect.val()
-    transcript = [v0]
-    max_iter = 1 if v0 == math.inf else math.ceil((spec_int.cut - v0) / params.h) + 8
-    Q = defect
-    y = PhiVector.zero(spec_int, x0.dim)
-    x = start
-    while not defect.is_zero():
-        if len(transcript) > max_iter:
-            raise NoConvergenceWithinCut(
-                f"defect still nonzero after {max_iter} iterates at cut {spec_int.cut}")
-        y = (Q + y.frobenius()).times_matrix(V_t).shift_down(params.div_exp(spec))
-        x = start + y
-        defect = _defect(x, F_t)
-        prev, v = transcript[-1], defect.val()
-        transcript.append(v)
-        if v != math.inf and v - prev < params.h:
-            raise StructureViolation(
-                f"contraction rate violated: defect went {prev} -> {v}, "
-                f"gain below h = {params.h}"
-            )
-    solution = x.reduce_to(spec.cut)
-    params.check_correction((solution - x0).val())
-    return LiftResult(solution=solution, transcript=tuple(transcript),
-                      iterations=len(transcript) - 1, input_defect=input_defect)
+    # _contract checks the correction from start; from x0 it is the same
+    # check, since start and x0 agree up to b
+    (lifted,) = _contract(spec, params, F_t, V_t, [start], [(1,)])
+    return replace(lifted, input_defect=input_defect)
+
+
+def _contraction_step(Q, Y, V_t, shift):
+    """One iterate y -> (Q + phi(y)) V / u^shift on every row at once:
+    one fused matrix product."""
+    rows = mat_mul(tuple((q + y.frobenius()).entries for q, y in zip(Q, Y)), V_t)
+    return [PhiVector(q.spec, row).shift_down(shift) for q, row in zip(Q, rows)]
+
+
+def _span(rows, zero):
+    """c -> sum_j c_j rows[j] for c in F_p^r, memoized: each combination
+    is an earlier one plus one scaled row."""
+    memo = {(0,) * len(rows): zero}
+
+    def combine(c):
+        if c not in memo:
+            j = max(t for t, cj in enumerate(c) if cj)
+            row = rows[j] if c[j] == 1 else rows[j].scale(c[j])
+            memo[c] = combine(c[:j] + (0,) * (len(c) - j)) + row
+        return memo[c]
+    return combine
+
+
+def _contract(spec, params, F_t, V_t, starts, combos):
+    """The lifts of the combinations combos (tuples in F_p^r) of the r
+    rows of starts (at the working cut), iterating on the r rows only.
+
+    The iteration is F_p-linear, so a combination's k-th correction and
+    defect are that combination of the rows' ones.  Each combination is
+    checked as if lifted alone (defect above a, gain h per iterate, the
+    same iteration cap, correction above b); the first in combos whose
+    lift fails raises its error.
+    """
+    spec_int = params.working_spec(spec)
+    zero = PhiVector.zero(spec_int, len(F_t))
+    Q = defects = _defects(starts, F_t)
+    Y = [zero] * len(starts)
+    start_of = _span(starts, zero)
+    transcripts = [[] for _ in combos]
+    lifted, failed, failure = {}, len(combos), None
+    active = range(len(combos))
+    while active:
+        defect_of, correction_of = _span(defects, zero), _span(Y, zero)
+        going = []
+        for n in active:
+            if n >= failed:
+                break
+            t = transcripts[n]
+            v = defect_of(combos[n]).val()
+            t.append(v)
+            try:
+                if len(t) == 1:
+                    params.check_defect(v)
+                elif v != math.inf and v - t[-2] < params.h:
+                    raise StructureViolation(
+                        f"contraction rate violated: defect went {t[-2]} -> {v}, "
+                        f"gain below h = {params.h}")
+                if v == math.inf:
+                    y = correction_of(combos[n]).reduce_to(spec.cut)
+                    params.check_correction(y.val())
+                    lifted[n] = LiftResult(
+                        solution=start_of(combos[n]).reduce_to(spec.cut) + y,
+                        transcript=tuple(t), iterations=len(t) - 1, input_defect=t[0])
+                elif len(t) > (cap := math.ceil((spec_int.cut - t[0]) / params.h) + 8):
+                    raise NoConvergenceWithinCut(
+                        f"defect still nonzero after {cap} iterates at cut {spec_int.cut}")
+                else:
+                    going.append(n)
+            except (PrecisionTooLow, StructureViolation, NoConvergenceWithinCut) as exc:
+                failed, failure = n, exc
+        active = going
+        if active:
+            Y = _contraction_step(Q, Y, V_t, params.div_exp(spec))
+            defects = _defects([x + y for x, y in zip(starts, Y)], F_t)
+    if failure is not None:
+        raise failure
+    return [lifted[n] for n in range(len(combos))]
 
 
 def contraction_lift_untilted(module, spec, x0, params=None, witness=None):
@@ -448,11 +470,8 @@ def contraction_lift_untilted(module, spec, x0, params=None, witness=None):
 # -- the full pipeline --------------------------------------------------------
 
 def _candidate_cut(spec, params):
-    b_ring = params.correction_floor
-    if b_ring > 0:
-        return b_ring
-    # height 0: only the constant band matters
-    return Fraction(1, 2 * spec.denominator)
+    # height 0 (b = 0): only the constant band matters
+    return params.correction_floor or Fraction(1, 2 * spec.denominator)
 
 
 def _kernel_mod_p(rows, n, p):
@@ -499,17 +518,13 @@ def _candidate_space(spec, params, F_t, budget):
     slots = spec_b.m_max + 1
     top = math.floor(params.defect_floor * spec.denominator)
     zero = ValuedTrunc.zero(spec)
-    columns = []
-    for j in range(d):
-        for m in range(slots):
-            for t in range(f):
-                unit = PhiVector(spec, tuple(
-                    ValuedTrunc(spec, {m: p**t}) if jj == j else zero for jj in range(d)))
-                columns.append([c for e in _defect(unit, F_t).entries
-                                for mono in range(top + 1)
-                                for c in k.digits(e.coeffs.get(mono, 0))])
-    n = len(columns)
-    basis = _kernel_mod_p(zip(*columns), n, p)
+    units = [PhiVector(spec, tuple(ValuedTrunc(spec, {m: p**t}) if jj == j else zero
+                                   for jj in range(d)))
+             for j in range(d) for m in range(slots) for t in range(f)]
+    columns = [[c for e in defect.entries for mono in range(top + 1)
+                for c in k.digits(e.coeffs.get(mono, 0))]
+               for defect in _defects(units, F_t)]
+    basis = _kernel_mod_p(zip(*columns), len(columns), p)
     size = p ** len(basis)
     if size > budget:
         raise BudgetExceeded(
@@ -517,27 +532,28 @@ def _candidate_space(spec, params, F_t, budget):
             search_space=size,
             budget=budget,
         )
-    found = []
-    for combo in product(range(p), repeat=len(basis)):
-        v = [sum(c * b[col] for c, b in zip(combo, basis)) % p for col in range(n)]
-        coeffs = [k.encode(v[s:s + f]) for s in range(0, n, f)]
-        found.append((combo, PhiVector(spec_b, tuple(
+    rows = []
+    for v in basis:
+        coeffs = [k.encode(v[s:s + f]) for s in range(0, len(v), f)]
+        rows.append(PhiVector(spec_b, tuple(
             ValuedTrunc(spec_b, dict(enumerate(coeffs[j * slots:(j + 1) * slots])))
-            for j in range(d)))))
-    return sorted(found, key=lambda cx: cx[1]._key())
+            for j in range(d))))
+    combine = _span(rows, PhiVector.zero(spec_b, d))
+    return sorted(((c, combine(c)) for c in product(range(p), repeat=len(rows))),
+                  key=lambda cx: cx[1]._key())
 
 
 def compute_tstar(module, spec, budget, params=None):
     """All exact solutions of phi(x) = x F over the ring of spec, in either mode.
 
     The candidates are the x at the injectivity cut b whose zero
-    extension has defect valuation above a, a kernel of dimension r
-    (_candidate_space); each is lifted through contraction_lift.  The
-    budget bounds the p^r candidates (a BudgetExceeded carries p^r), not
-    the coefficient grid, which only the enumerate_jc oracle scans.  A
-    candidate lifts exactly when it is the reduction of a true solution,
-    so the lifted set is the full solution set; it is asserted to be the
-    F_p-span of the lifts of the kernel basis.
+    extension has defect valuation above a: a kernel of dimension r
+    (_candidate_space), whose p^r elements the budget bounds.  Lifting is
+    F_p-linear (the lift is unique, reduction at b injective), so only
+    the r basis vectors are lifted, together (_contract), and each
+    solution and its transcript is formed as an F_p-combination of
+    theirs.  Each is checked: zero defect at the cut, reduction at b
+    equal to its candidate, p^r distinct solutions.
     """
     if params is None:
         params = SolverParams.for_spec(module.params.p, module.height, spec)
@@ -548,14 +564,21 @@ def compute_tstar(module, spec, budget, params=None):
         return TstarResult(solutions=(empty,), rank=0, lifts=(), params=params, spec=spec)
     F_t, _ = specialize(module, spec, witness=witness)
     candidates = _candidate_space(spec, params, F_t, budget)
-    lifts = [contraction_lift(module, spec, cand.with_cut(spec.cut), params=params,
-                              witness=witness)
-             for _, cand in candidates]
+    rank = len(candidates[0][0])
+    spec_int = params.working_spec(spec)
+    # the basis vectors e_0, ..., e_(r-1), in descending order
+    starts = [x.with_cut(spec_int.cut) for c, x in sorted(candidates, reverse=True)
+              if sum(c) == 1]
+    lifts = _contract(spec, params, *specialize(module, spec_int, witness=witness), starts,
+                      [c for c, _ in candidates])
     solutions = [lifted.solution for lifted in lifts]
+    cut_b = _candidate_cut(spec, params)
+    for (_, x0), x, defect in zip(candidates, solutions, _defects(solutions, F_t)):
+        if not defect.is_zero() or x.reduce_to(cut_b) != x0:
+            raise StructureViolation(f"formed solution {x.to_text()} is not the lift of "
+                                     f"{x0.to_text()}")
     if len(set(solutions)) != len(solutions):
         raise StructureViolation("distinct candidates lifted to one solution")
-    _assert_fp_structure(solutions, [c for c, _ in candidates])
-    rank = len(candidates[0][0])
     if rank > module.rank * module.params.f:
         raise StructureViolation(
             f"rank {rank} exceeds the bound d*f = {module.rank * module.params.f}"
@@ -575,25 +598,6 @@ def compute_tstar_untilted(module, spec, budget, params=None):
     if SolverParams.level_of(spec) is None:
         raise RegimeViolation("compute_tstar_untilted expects an untilted ring")
     return compute_tstar(module, spec, budget, params=params)
-
-
-def _assert_fp_structure(solutions, coords):
-    """Assert that each solution is the F_p-combination of the basis lifts
-    that its candidate's kernel coordinates name.  Lifting is F_p-linear
-    (the lift is unique, reduction at b injective), so for p^r distinct
-    solutions this holds exactly when the set is closed under + and
-    F_p-scaling, at r vector operations per solution instead of p^r."""
-    lift_of = dict(zip(coords, solutions))
-    r = len(coords[0])
-    basis = [lift_of[tuple(int(j == t) for t in range(r))] for j in range(r)]
-    for c, x in zip(coords, solutions):
-        combo = PhiVector.zero(x.spec, x.dim)
-        for cj, sj in zip(c, basis):
-            if cj:
-                combo = combo + sj.scale(cj)
-        if combo != x:
-            raise StructureViolation(
-                f"solution {x.to_text()} is not its F_p-combination of the basis lifts")
 
 
 # -- Galois structure ---------------------------------------------------------
@@ -623,8 +627,8 @@ def _galois_generator_step(module, vec):
     u_inv = pow(u, -1, T) if T > 1 else 1
     G_inv = mat_inverse_unit(module.G)
     H_t = mat_map(lambda e: embed_twisted(gamma_q(e, u_inv), spec), G_inv)
-    moved = vec.times_matrix(H_t)
-    return PhiVector(spec, tuple(galois_act(e, u) for e in moved.entries))
+    (moved,) = mat_mul((vec.entries,), H_t)
+    return PhiVector(spec, tuple(galois_act(e, u) for e in moved))
 
 
 def character_of(tstar, u):
@@ -648,8 +652,7 @@ def character_of(tstar, u):
         )
     if p == 2:
         return 0  # the group F_2^x is trivial
-    nonzero = sorted((x for x in solutions if not x.is_zero()), key=lambda v: v._key())
-    x = nonzero[0]
+    x = min((x for x in solutions if not x.is_zero()), key=PhiVector._key)
     v = x.val()
     g = PhiVector(spec, tuple(galois_act(e, u) for e in x.entries))
     if g.val() != v:
@@ -663,20 +666,15 @@ def character_of(tstar, u):
         for m, c in ge.coeffs.items():
             if spec.monomial_val(m) == v and m not in xe.coeffs:
                 raise NonCharacter("leading band of image not proportional")
-    ratio = None
-    for c, gc in lead:
-        r = k.mul(gc, k.inv(c))
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            raise NonCharacter("leading-coefficient ratio is not constant")
+    ratios = {k.mul(gc, k.inv(c)) for c, gc in lead}
+    if len(ratios) > 1:
+        raise NonCharacter("leading-coefficient ratio is not constant")
+    ratio = ratios.pop() if ratios else None
     if ratio is None or ratio == 0 or not k.in_prime_field(ratio):
         raise NonCharacter(f"leading ratio {ratio} is not in F_p^x")
     base = u % p
-    acc = 1
     for j in range(p - 1):
-        if acc == ratio:
+        if pow(base, j, p) == ratio:
             return j
-        acc = (acc * base) % p
     raise NonCharacter(f"{ratio} is not a power of {base} mod {p}; "
                        "is u a primitive root?")

@@ -95,10 +95,20 @@ class RingSpec:
         return 1
 
     def with_cut(self, cut):
+        """The same ring at another cut.  Every spec reached from one
+        another by with_cut is one object per cut, so that the checks of
+        ring equality stop at `is`."""
         cut = Fraction(cut)
         if cut == self.cut:
             return self
-        return RingSpec(self.params, self.mode, self.level, cut)
+        # shared by every spec of the family; kept in the instance dict,
+        # outside the fields that define == and hash
+        family = self.__dict__.setdefault("_family", {self.cut: self})
+        spec = family.get(cut)
+        if spec is None:
+            spec = family[cut] = RingSpec(self.params, self.mode, self.level, cut)
+            spec.__dict__["_family"] = family
+        return spec
 
     def monomial_val(self, m):
         return Fraction(m, self.denominator)

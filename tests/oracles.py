@@ -6,15 +6,18 @@ one field operation per pair of terms (the library packs them into big
 integers), Sylvester resultants over Z with a Bareiss determinant, and direct valuation computations of conjugate differences
 in explicit number rings.  The height witness is recomputed by the
 cofactor determinant and adjugate over k[[x]]/x^N, a route that shares
-only the series arithmetic with the elimination in wach.
+only the series arithmetic with the elimination in wach.  T* is
+recomputed by lifting each of its p^r candidates alone, where the
+solver lifts only a basis of r of them.
 """
 
 import math
 from fractions import Fraction
 
 from padic_ramlab.errors import HeightExceeded, NotDivisible, TruncationTooLow
+from padic_ramlab.frobsolve import _candidate_space, contraction_lift
 from padic_ramlab.qring import invert_unit, try_divide
-from padic_ramlab.wach import mat_adjugate, mat_det
+from padic_ramlab.wach import mat_adjugate, mat_det, specialize, verify_height
 
 
 # -- dense polynomial arithmetic over F_p (schoolbook) -----------------------
@@ -297,3 +300,21 @@ def fp_closed(solutions, p):
     return bool(pool) and all(
         x.scale(c) in pool for x in solutions for c in range(p)
     ) and all(x + y in pool for x in solutions for y in solutions)
+
+
+# -- T* by one lift per candidate ---------------------------------------------
+
+def lift_each_candidate(module, spec, budget, params):
+    """(rank, lifts) of T* by lifting every kernel candidate alone, the
+    zero candidate included, in candidate order; lifts sorted by solution.
+
+    Shares the kernel and the one-row contraction_lift with the library:
+    it checks how compute_tstar forms p^r solutions from r batched lifts.
+    """
+    witness = verify_height(module)
+    F_t, _ = specialize(module, spec, witness=witness)
+    candidates = _candidate_space(spec, params, F_t, budget)
+    lifts = [contraction_lift(module, spec, x.with_cut(spec.cut), params=params,
+                              witness=witness)
+             for _, x in candidates]
+    return len(candidates[0][0]), sorted(lifts, key=lambda lifted: lifted.solution._key())

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import time
@@ -6,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from padic_ramlab import frobsolve
 from padic_ramlab.errors import (
     BudgetExceeded,
     PrecisionTooLow,
+    RamlabError,
     RankError,
     RegimeViolation,
+    StructureViolation,
 )
 from padic_ramlab.frobsolve import (
     PhiVector,
@@ -35,7 +39,7 @@ from padic_ramlab.wach import (
     specialize,
 )
 
-from .oracles import fp_closed
+from .oracles import fp_closed, lift_each_candidate
 
 K2 = FiniteFieldParams(2)
 K3 = FiniteFieldParams(3)
@@ -66,7 +70,7 @@ def test_enumerate_rank0():
     module = WachModuleModP(params=K2, trunc=4, rank=0, height=0, F=())
     spec = RingSpec(K2, "tilt", 1, 1)
     out = enumerate_jc(module, spec, budget=100)
-    assert len(out) == 1 and out.elements[0].dim == 0
+    assert len(out) == 1 and out.elements[0].entries == ()
 
 
 def test_enumerate_contains_closed_form():
@@ -443,6 +447,99 @@ def test_kernel_matches_grid_oracle_on_known_defect_draws(seed):
     spec = RingSpec(K2, "tilt", 1, params.c_work)
     kernel, filtered = kernel_and_oracle(module, spec, params)
     assert kernel == filtered
+
+
+def known_defect_case(seed):
+    """A rank-2 height-1 draw on which every lift of some candidate
+    breaks the contraction rate."""
+    module = random_module(random.Random(seed), 2, 2, 1, 10)
+    params = SolverParams.for_tilt(2, 1, RingSpec(K2, "tilt", 1, 1))
+    return module, RingSpec(K2, "tilt", 1, params.c_work), params
+
+
+@pytest.mark.parametrize("seed", [4, 7, 10])
+def test_tstar_raises_the_rate_violation_on_known_defect_draws(seed):
+    module, spec, params = known_defect_case(seed)
+    with pytest.raises(StructureViolation, match="contraction rate violated"):
+        compute_tstar(module, spec, budget=10**6, params=params)
+
+
+# -- the batched lift against one lift per candidate --------------------------
+
+def random_differential_case(rng):
+    """A random module and ring in either mode, tilt cuts above c_work by
+    a margin; the truncation covers the lift's working ring."""
+    p = rng.choice([2, 3, 5])
+    d, f, i = rng.randint(1, 3), rng.choice([1, 2]), rng.choice([0, 1, 2])
+    K = FiniteFieldParams(p, f)
+    if rng.random() < 0.5:
+        depth = rng.choice([1, 2])
+        params = SolverParams.for_tilt(p, i, RingSpec(K, "tilt", depth, 1))
+        margin = rng.choice([0, 0, Fraction(1, 2), 1, 2])
+        spec = RingSpec(K, "tilt", depth, params.c_work + margin)
+    else:
+        s = untilted_level(p, i, rng.choice([0, 1]))
+        params = SolverParams.for_untilted(p, i, s)
+        spec = RingSpec(K, "untilted", s, params.working_floor)
+    top = params.working_spec(spec).m_max // spec.embed_exponent
+    trunc = max((2 * p - 1) * i + 4, top + (p - 1) * i + 2) + rng.randint(0, 3)
+    return random_module(rng, p, d, i, trunc, f=f), spec, params
+
+
+def outcome(run):
+    """What a T* route gives: its error type, or the rank and, per
+    solution in order, the solution, transcript, iterations and input defect."""
+    try:
+        rank, lifts = run()
+    except RamlabError as exc:
+        return type(exc).__name__
+    return rank, [(x.solution, x.transcript, x.iterations, x.input_defect) for x in lifts]
+
+
+def test_batched_lift_matches_one_lift_per_candidate():
+    rng = random.Random(7919)
+    cases = [random_differential_case(rng) for _ in range(200)]
+    cases += [known_defect_case(seed) for seed in (4, 7, 10)]
+    budget = 125
+    seen = collections.Counter()
+    for module, spec, params in cases:
+        def batched():
+            out = compute_tstar(module, spec, budget, params=params)
+            return out.rank, out.lifts
+        got = outcome(batched)
+        assert got == outcome(lambda: lift_each_candidate(module, spec, budget, params)), \
+            (module, spec)
+        seen[spec.mode, got if isinstance(got, str) else "solved"] += 1
+    assert seen["tilt", "solved"] >= 50 and seen["untilted", "solved"] >= 50, seen
+    assert seen["tilt", "StructureViolation"] >= 3, seen
+
+
+def test_tstar_specializes_twice_and_iterates_once_per_basis_step(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(frobsolve, name, wrapper)
+
+    counted("specialize", frobsolve.specialize)
+    counted("_contraction_step", frobsolve._contraction_step)
+    module13, spec13, params13 = tilt_setup(13, 1)
+    # a rank-2 height-0 draw whose solutions take up to 3 iterates
+    module2 = random_module(random.Random(0), 3, 2, 0, 12)
+    params2 = SolverParams.for_tilt(3, 0, RingSpec(K3, "tilt", 1, 1))
+    spec2 = RingSpec(K3, "tilt", 1, params2.c_work + 4)
+    for module, spec, params, rank in ((module13, spec13, params13, 1),
+                                       (module2, spec2, params2, 2)):
+        calls.clear()
+        out = compute_tstar(module, spec, budget=10**6, params=params)
+        assert out.rank == rank and len(out) == module.params.p ** rank
+        assert calls["specialize"] <= 2
+        # one batched iterate per step of the slowest solution, not per solution
+        iterations = [lifted.iterations for lifted in out.lifts]
+        assert calls["_contraction_step"] == max(iterations)
+    assert max(iterations) < sum(iterations)
 
 
 @pytest.mark.parametrize("depth", [4, 5])
