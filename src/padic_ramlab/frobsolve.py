@@ -18,6 +18,13 @@ lifts only the r kernel basis vectors, as the rows of one matrix, and
 forms the p^r solutions as their F_p-combinations.  The budget bounds
 the p^r solutions formed.  contraction_lift is the one-row case.
 
+The lift and the candidate search run on the series engine of qring:
+a row is a tuple of coefficient dicts, a valuation is a least monomial
+index m (ring valuation m/D), and the thresholds of SolverParams are
+integers over D (index_bounds).  PhiVector, ValuedTrunc and Fraction
+valuations are the API at entry and exit: starts in, solutions and
+LiftResult transcripts out.
+
 enumerate_jc is the deliberately brute-force oracle: a full grid scan
 of coefficient vectors against the congruence, guarded by a budget on
 the grid size (p^f)^(d(m+1)).  No semilinear-algebra shortcut is taken
@@ -25,6 +32,7 @@ on this path; it is what the kernel and the contraction solver are
 validated against.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -32,11 +40,13 @@ from itertools import product
 from typing import Optional
 
 from . import tiltring
-from .errors import (BudgetExceeded, NonCharacter, NoConvergenceWithinCut, ParamMismatch,
-                     PrecisionTooLow, RankError, RegimeViolation, StructureViolation)
+from .errors import (BudgetExceeded, NonCharacter, NoConvergenceWithinCut, NotDivisible,
+                     ParamMismatch, PrecisionTooLow, RankError, RegimeViolation,
+                     StructureViolation)
 from .gf import FiniteFieldParams
-from .qring import exponent_modulus, gamma_q
-from .tiltring import RingSpec, ValuedTrunc, frobenius, galois_act
+from .qring import (exponent_modulus, gamma_q, series_add, series_frobenius, series_matmul,
+                    series_neg, series_scale)
+from .tiltring import RingSpec, ValuedTrunc, galois_act
 from .wach import (embed_twisted, mat_inverse_unit, mat_map, mat_mul, specialize,
                    verify_height)
 
@@ -76,33 +86,46 @@ class SolverParams:
     c_work: Fraction
     h: Fraction
 
-    @property
+    # The thresholds are cached in the instance dict: the fields alone
+    # still define == and hash.
+
+    @functools.cached_property
     def b(self):
         return Fraction(self.i, self.p - 1)
 
-    @property
+    @functools.cached_property
     def a(self):
         return Fraction(self.p * self.i, self.p - 1)
 
-    @property
+    @functools.cached_property
     def ring_scale(self):
         """Ring valuation of index-1: 1 in tilt mode, 1/p^s untilted."""
         return Fraction(1) if self.s is None else Fraction(1, self.p**self.s)
 
-    @property
+    @functools.cached_property
     def defect_floor(self):
         """Ring valuation the defect must strictly exceed: a (scaled)."""
         return self.a * self.ring_scale
 
-    @property
+    @functools.cached_property
     def correction_floor(self):
         """Ring valuation the correction stays above: b (scaled)."""
         return self.b * self.ring_scale
 
-    @property
+    @functools.cached_property
     def working_floor(self):
         """Ring valuation of the working cut c_work."""
         return self.c_work * self.ring_scale
+
+    def index_bounds(self, denominator):
+        """The thresholds over monomial indices of a ring of denominator
+        D (index m has ring valuation m/D), as integers (defect,
+        correction, gain): m/D <= defect_floor iff m <= defect,
+        m/D <= correction_floor iff m <= correction, and an index gain g
+        is below h iff g < gain."""
+        D = denominator
+        return (math.floor(self.defect_floor * D), math.floor(self.correction_floor * D),
+                math.ceil(self.h * D))
 
     @property
     def restarts_at_b(self):
@@ -222,12 +245,10 @@ class PhiVector:
         self.spec = spec
         self.entries = tuple(entries)
 
-    @classmethod
-    def zero(cls, spec, d):
-        return cls(spec, tuple(ValuedTrunc.zero(spec) for _ in range(d)))
-
     def val(self):
-        return min((tiltring.val(e) for e in self.entries), default=math.inf)
+        """Least monomial valuation over the entries; +infinity for zero."""
+        m = _index(tuple(e.coeffs for e in self.entries))
+        return math.inf if m == math.inf else self.spec.monomial_val(m)
 
     def is_zero(self):
         return all(e.is_zero() for e in self.entries)
@@ -235,17 +256,8 @@ class PhiVector:
     def __add__(self, other):
         return PhiVector(self.spec, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def __sub__(self, other):
-        return PhiVector(self.spec, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
     def scale(self, c):
         return PhiVector(self.spec, tuple(a.scale(c) for a in self.entries))
-
-    def frobenius(self):
-        return PhiVector(self.spec, tuple(frobenius(e) for e in self.entries))
-
-    def shift_down(self, j):
-        return PhiVector(self.spec, tuple(e.shift_down(j) for e in self.entries))
 
     def with_cut(self, cut):
         entries = tuple(e.with_cut(cut) for e in self.entries)
@@ -275,10 +287,51 @@ class PhiVector:
         return f"PhiVector({self.spec.describe()}; {self.to_text()})"
 
 
+# -- dict rows ----------------------------------------------------------------
+# The solver's loops run on the series engine: a row is a tuple of
+# coefficient dicts over one ring, and a valuation is a least monomial
+# index (math.inf for zero), of ring valuation index/D.
+
+def _index(row):
+    """Least monomial index over the entries of a dict row; math.inf for zero."""
+    return min((min(e) for e in row if e), default=math.inf)
+
+
+def _dicts(spec, rows):
+    """The coefficient dicts of rows of ValuedTruncs, after checking once
+    that every entry lives in the ring of spec."""
+    for row in rows:
+        for e in row:
+            theirs = getattr(e, "spec", type(e).__name__)
+            if theirs is not spec and theirs != spec:
+                raise ParamMismatch(f"ring mismatch: {spec} vs {theirs}")
+    return [tuple(e.coeffs for e in row) for row in rows]
+
+
+def _wrap(spec, row):
+    """A dict row as a PhiVector over the ring of spec."""
+    return PhiVector(spec, tuple(ValuedTrunc._new(spec, e) for e in row))
+
+
+def _row_add(k, x, y):
+    return tuple(series_add(k, a, b) for a, b in zip(x, y))
+
+
+def _defect_rows(k, X, F, top):
+    """phi(x) - x F for every dict row x at once: one fused matrix product."""
+    return [tuple(series_add(k, series_frobenius(k, a, top), series_neg(k, b))
+                  for a, b in zip(x, xF))
+            for x, xF in zip(X, series_matmul(k, X, F, top))]
+
+
 def _defects(rows, F_t):
-    """phi(x) - x F for every row x at once: one fused matrix product."""
-    products = mat_mul(tuple(x.entries for x in rows), F_t)
-    return [x.frobenius() - PhiVector(x.spec, xF) for x, xF in zip(rows, products)]
+    """phi(x) - x F for every PhiVector x of rows, as PhiVectors."""
+    if not rows:
+        return []
+    spec = rows[0].spec
+    X = _dicts(spec, [x.entries for x in rows])
+    return [_wrap(spec, row)
+            for row in _defect_rows(spec.params, X, _dicts(spec, F_t), spec.m_max + 1)]
 
 
 def _defect(x, F_t):
@@ -383,23 +436,31 @@ def contraction_lift(module, spec, x0, params=None, witness=None):
     return replace(lifted, input_defect=input_defect)
 
 
-def _contraction_step(Q, Y, V_t, shift):
-    """One iterate y -> (Q + phi(y)) V / u^shift on every row at once:
-    one fused matrix product."""
-    rows = mat_mul(tuple((q + y.frobenius()).entries for q, y in zip(Q, Y)), V_t)
-    return [PhiVector(q.spec, row).shift_down(shift) for q, row in zip(Q, rows)]
+def _divide(a, j):
+    """Exact division of a dict by u^j, j >= 0, at unchanged cut."""
+    if a and (v := min(a)) < j:
+        raise NotDivisible(f"monomial u^{v} not divisible by u^{j}")
+    return {m - j: c for m, c in a.items()} if j else a
 
 
-def _span(rows, zero):
-    """c -> sum_j c_j rows[j] for c in F_p^r, memoized: each combination
-    is an earlier one plus one scaled row."""
-    memo = {(0,) * len(rows): zero}
+def _contraction_step(k, Q, Y, V, top, shift):
+    """One iterate y -> (Q + phi(y)) V / u^shift on every dict row at
+    once: one fused matrix product."""
+    sums = [tuple(series_add(k, a, series_frobenius(k, b, top)) for a, b in zip(q, y))
+            for q, y in zip(Q, Y)]
+    return [tuple(_divide(e, shift) for e in row) for row in series_matmul(k, sums, V, top)]
+
+
+def _span(k, rows, d):
+    """c -> sum_j c_j rows[j] for c in F_p^r over dict rows of length d,
+    memoized: each combination is an earlier one plus one scaled row."""
+    memo = {(0,) * len(rows): ({},) * d}
 
     def combine(c):
         if c not in memo:
             j = max(t for t, cj in enumerate(c) if cj)
-            row = rows[j] if c[j] == 1 else rows[j].scale(c[j])
-            memo[c] = combine(c[:j] + (0,) * (len(c) - j)) + row
+            row = rows[j] if c[j] == 1 else tuple(series_scale(k, e, c[j]) for e in rows[j])
+            memo[c] = _row_add(k, combine(c[:j] + (0,) * (len(c) - j)), row)
         return memo[c]
     return combine
 
@@ -413,38 +474,66 @@ def _contract(spec, params, F_t, V_t, starts, combos):
     checked as if lifted alone (defect above a, gain h per iterate, the
     same iteration cap, correction above b); the first in combos whose
     lift fails raises its error.
+
+    PhiVectors and ValuedTruncs are only the edge: the starts, F_t and
+    V_t are read once as dict rows (their ring checked once, here), and
+    every iterate is engine calls on dict rows.  A valuation is a least
+    monomial index m, of ring valuation m/D, and the thresholds are the
+    integers of SolverParams.index_bounds; a Fraction is built only for
+    a LiftResult and for an error text.
     """
     spec_int = params.working_spec(spec)
-    zero = PhiVector.zero(spec_int, len(F_t))
-    Q = defects = _defects(starts, F_t)
-    Y = [zero] * len(starts)
-    start_of = _span(starts, zero)
-    transcripts = [[] for _ in combos]
+    k, top, D, last = spec.params, spec_int.m_max + 1, spec.denominator, spec.m_max
+    F, V = _dicts(spec_int, F_t), _dicts(spec_int, V_t)
+    starts = _dicts(spec_int, [x.entries for x in starts])
+    d, shift = len(F), params.div_exp(spec)
+    defect_floor, correction_floor, gain = params.index_bounds(D)
+    # the cap ceil((cut - m0/D) / h) + 8 of a lift whose input defect has
+    # index m0, over the integers: cut D = n1/d1 and h D = n2/d2
+    cut_D, h_D = spec_int.cut * D, params.h * D
+    n1, d1, n2, d2 = cut_D.numerator, cut_D.denominator, h_D.numerator, h_D.denominator
+    valuations = {math.inf: math.inf}
+
+    def valuation(m):
+        if m not in valuations:
+            valuations[m] = Fraction(m, D)
+        return valuations[m]
+
+    def below_cut(row):
+        return tuple({m: c for m, c in e.items() if m <= last} for e in row)
+
+    Q = defects = _defect_rows(k, starts, F, top)
+    Y = [({},) * d] * len(starts)
+    start_of = _span(k, starts, d)
+    transcripts = [[] for _ in combos]  # defect indices per iterate
     lifted, failed, failure = {}, len(combos), None
     active = range(len(combos))
     while active:
-        defect_of, correction_of = _span(defects, zero), _span(Y, zero)
+        defect_of, correction_of = _span(k, defects, d), _span(k, Y, d)
         going = []
         for n in active:
             if n >= failed:
                 break
             t = transcripts[n]
-            v = defect_of(combos[n]).val()
-            t.append(v)
+            m = _index(defect_of(combos[n]))
+            t.append(m)
             try:
                 if len(t) == 1:
-                    params.check_defect(v)
-                elif v != math.inf and v - t[-2] < params.h:
+                    if m <= defect_floor:
+                        params.check_defect(valuation(m))
+                elif m - t[-2] < gain:  # never true for m = inf
                     raise StructureViolation(
-                        f"contraction rate violated: defect went {t[-2]} -> {v}, "
-                        f"gain below h = {params.h}")
-                if v == math.inf:
-                    y = correction_of(combos[n]).reduce_to(spec.cut)
-                    params.check_correction(y.val())
+                        f"contraction rate violated: defect went {valuation(t[-2])} -> "
+                        f"{valuation(m)}, gain below h = {params.h}")
+                if m == math.inf:
+                    y = below_cut(correction_of(combos[n]))
+                    if (corr := _index(y)) <= correction_floor:
+                        params.check_correction(valuation(corr))
                     lifted[n] = LiftResult(
-                        solution=start_of(combos[n]).reduce_to(spec.cut) + y,
-                        transcript=tuple(t), iterations=len(t) - 1, input_defect=t[0])
-                elif len(t) > (cap := math.ceil((spec_int.cut - t[0]) / params.h) + 8):
+                        solution=_wrap(spec, _row_add(k, below_cut(start_of(combos[n])), y)),
+                        transcript=tuple(map(valuation, t)), iterations=len(t) - 1,
+                        input_defect=valuation(t[0]))
+                elif len(t) > (cap := -((t[0] * d1 - n1) * d2 // (d1 * n2)) + 8):
                     raise NoConvergenceWithinCut(
                         f"defect still nonzero after {cap} iterates at cut {spec_int.cut}")
                 else:
@@ -453,8 +542,8 @@ def _contract(spec, params, F_t, V_t, starts, combos):
                 failed, failure = n, exc
         active = going
         if active:
-            Y = _contraction_step(Q, Y, V_t, params.div_exp(spec))
-            defects = _defects([x + y for x, y in zip(starts, Y)], F_t)
+            Y = _contraction_step(k, Q, Y, V, top, shift)
+            defects = _defect_rows(k, [_row_add(k, x, y) for x, y in zip(starts, Y)], F, top)
     if failure is not None:
         raise failure
     return [lifted[n] for n in range(len(combos))]
@@ -516,14 +605,11 @@ def _candidate_space(spec, params, F_t, budget):
     p, f, d = k.p, k.f, len(F_t)
     spec_b = spec.with_cut(_candidate_cut(spec, params))
     slots = spec_b.m_max + 1
-    top = math.floor(params.defect_floor * spec.denominator)
-    zero = ValuedTrunc.zero(spec)
-    units = [PhiVector(spec, tuple(ValuedTrunc(spec, {m: p**t}) if jj == j else zero
-                                   for jj in range(d)))
+    top = params.index_bounds(spec.denominator)[0]
+    units = [tuple({m: p**t} if jj == j else {} for jj in range(d))
              for j in range(d) for m in range(slots) for t in range(f)]
-    columns = [[c for e in defect.entries for mono in range(top + 1)
-                for c in k.digits(e.coeffs.get(mono, 0))]
-               for defect in _defects(units, F_t)]
+    columns = [[c for e in defect for mono in range(top + 1) for c in k.digits(e.get(mono, 0))]
+               for defect in _defect_rows(k, units, _dicts(spec, F_t), spec.m_max + 1)]
     basis = _kernel_mod_p(zip(*columns), len(columns), p)
     size = p ** len(basis)
     if size > budget:
@@ -535,11 +621,10 @@ def _candidate_space(spec, params, F_t, budget):
     rows = []
     for v in basis:
         coeffs = [k.encode(v[s:s + f]) for s in range(0, len(v), f)]
-        rows.append(PhiVector(spec_b, tuple(
-            ValuedTrunc(spec_b, dict(enumerate(coeffs[j * slots:(j + 1) * slots])))
-            for j in range(d))))
-    combine = _span(rows, PhiVector.zero(spec_b, d))
-    return sorted(((c, combine(c)) for c in product(range(p), repeat=len(rows))),
+        rows.append(tuple({m: c for m, c in enumerate(coeffs[j * slots:(j + 1) * slots]) if c}
+                          for j in range(d)))
+    combine = _span(k, rows, d)
+    return sorted(((c, _wrap(spec_b, combine(c))) for c in product(range(p), repeat=len(rows))),
                   key=lambda cx: cx[1]._key())
 
 

@@ -127,19 +127,30 @@ class FiniteFieldParams:
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a, b):
+        p = self.p
         if self.f == 1:
-            return (a + b) % self.p
-        return self.encode([x + y for x, y in zip(self.digits(a), self.digits(b))])
+            return (a + b) % p
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * place
+            place *= p
+        return out
 
     def sub(self, a, b):
-        if self.f == 1:
-            return (a - b) % self.p
-        return self.encode([x - y for x, y in zip(self.digits(a), self.digits(b))])
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
+        p = self.p
         if self.f == 1:
-            return (-a) % self.p
-        return self.encode([-x for x in self.digits(a)])
+            return -a % p
+        out, place = 0, 1
+        while a:
+            a, x = divmod(a, p)
+            out += -x % p * place
+            place *= p
+        return out
 
     def mul(self, a, b):
         if self.f == 1:

@@ -148,9 +148,22 @@ def _unpack(k, n, w, total, count, off):
 
 
 def series_add(k, a, b):
+    """The sum: a copy of the longer operand, the shorter added term by term."""
+    if len(a) < len(b):
+        a, b = b, a
     out = dict(a)
+    if k.f == 1:
+        p = k.p
+        for e, c in b.items():
+            s = (out.get(e, 0) + c) % p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return out
+    add = k.add
     for e, c in b.items():
-        s = k.add(out.get(e, 0), c)
+        s = add(out.get(e, 0), c)
         if s:
             out[e] = s
         else:
@@ -159,7 +172,21 @@ def series_add(k, a, b):
 
 
 def series_neg(k, a):
+    if k.f == 1:
+        p = k.p
+        return {e: p - c for e, c in a.items()}
     return {e: k.neg(c) for e, c in a.items()}
+
+
+def series_scale(k, a, c):
+    """The product with the k-element c (read mod p^f)."""
+    c %= k.order
+    if not c:
+        return {}
+    if k.f == 1:
+        p = k.p
+        return {e: c0 * c % p for e, c0 in a.items()}
+    return {e: k.mul(c0, c) for e, c0 in a.items()}
 
 
 def _shift_scale(k, a, b, top):
@@ -211,8 +238,11 @@ def series_matmul(k, A, B, top):
     one side has only one-term entries (t < 2, e.g. an identity or
     diagonal matrix), every product is a shift and a scale, cheaper than
     packing and unpacking the other side's entries, so the sums are taken
-    product by product.
+    product by product.  With no rows or no inner dimension the rows are
+    empty.
     """
+    if not A or not B:
+        return [[] for _ in A]
     terms = min(max(map(len, itertools.chain(*A))), max(map(len, itertools.chain(*B))))
     if terms < 2:
         return [[_dot(k, row, col, top) for col in zip(*B)] for row in A]
@@ -239,10 +269,32 @@ def series_pow(k, a, n, top):
     return result
 
 
+class _PowerTable(dict):
+    """c -> c^p in k, each entry computed on its first lookup."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.k = k
+
+    def __missing__(self, c):
+        self[c] = power = self.k.frobenius(c)
+        return power
+
+
+@functools.lru_cache(maxsize=None)
+def _frobenius_table(k):
+    return _PowerTable(k)
+
+
 def series_frobenius(k, a, top):
-    """c*t^e -> c^p * t^(p*e), the p-th power map in characteristic p."""
+    """c*t^e -> c^p * t^(p*e), the p-th power map in characteristic p.
+    On F_p, c^p = c and only the indices move; on a larger field c^p is
+    read from one table per field."""
     p = k.p
-    return {p * e: k.frobenius(c) for e, c in a.items() if p * e < top}
+    if k.f == 1:
+        return {p * e: c for e, c in a.items() if p * e < top}
+    power = _frobenius_table(k)
+    return {p * e: power[c] for e, c in a.items() if p * e < top}
 
 
 def exponent_modulus(p, top):
@@ -426,8 +478,7 @@ class QPoly:
 
     def scale(self, c):
         """Multiply by the k-element c."""
-        k = self.params
-        return QPoly(self.params, self.trunc, {e: k.mul(c0, c) for e, c0 in self.coeffs.items()})
+        return QPoly._new(self.params, self.trunc, series_scale(self.params, self.coeffs, c))
 
     def __pow__(self, n):
         return QPoly._new(self.params, self.trunc,

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import CapacityExceeded, NotDivisible, ParamMismatch
 from .gf import FiniteFieldParams
 from .qring import (series_add, series_frobenius, series_mul, series_neg, series_pow,
-                    series_substitute, series_terms)
+                    series_scale, series_substitute, series_terms)
 
 __all__ = [
     "RingSpec",
@@ -97,15 +97,18 @@ class RingSpec:
     def with_cut(self, cut):
         """The same ring at another cut.  Every spec reached from one
         another by with_cut is one object per cut, so that the checks of
-        ring equality stop at `is`."""
-        cut = Fraction(cut)
-        if cut == self.cut:
-            return self
+        ring equality stop at `is`.  An int or Fraction cut is looked up
+        as it is (equal numbers hash alike); only a new cut is converted."""
         # shared by every spec of the family; kept in the instance dict,
         # outside the fields that define == and hash
-        family = self.__dict__.setdefault("_family", {self.cut: self})
+        family = self.__dict__.get("_family")
+        if family is None:
+            family = self.__dict__["_family"] = {self.cut: self}
+        if not isinstance(cut, (int, Fraction)):
+            cut = Fraction(cut)
         spec = family.get(cut)
         if spec is None:
+            cut = Fraction(cut)
             spec = family[cut] = RingSpec(self.params, self.mode, self.level, cut)
             spec.__dict__["_family"] = family
         return spec
@@ -194,8 +197,7 @@ class ValuedTrunc:
                                                  spec.m_max + 1))
 
     def scale(self, c):
-        k = self.spec.params
-        return ValuedTrunc(self.spec, {m: k.mul(c0, c) for m, c0 in self.coeffs.items()})
+        return ValuedTrunc._new(self.spec, series_scale(self.spec.params, self.coeffs, c))
 
     def __pow__(self, n):
         spec = self.spec
@@ -288,15 +290,14 @@ def embed_q(a, spec):
     """
     if a.params != spec.params:
         raise ParamMismatch(f"field mismatch: {a.params} vs {spec.params}")
-    img = spec.embed_exponent
-    tail_val = Fraction(a.trunc * img, spec.denominator)
-    if tail_val <= spec.cut:
+    img, m_max = spec.embed_exponent, spec.m_max
+    if a.trunc * img <= m_max:  # the tail's valuation N img / D is <= cut
         raise CapacityExceeded(
             f"source truncation N={a.trunc} only determines the image below "
-            f"valuation {tail_val}, but the target cut is {spec.cut}",
+            f"valuation {Fraction(a.trunc * img, spec.denominator)}, but the target cut "
+            f"is {spec.cut}",
             precondition="N * val(image of q-1) > cut",
         )
-    m_max = spec.m_max
     return ValuedTrunc._new(spec, {e * img: c for e, c in a.coeffs.items() if e * img <= m_max})
 
 

@@ -542,6 +542,106 @@ def test_tstar_specializes_twice_and_iterates_once_per_basis_step(monkeypatch):
     assert max(iterations) < sum(iterations)
 
 
+def test_batched_lift_iterates_without_the_view_layer(monkeypatch):
+    # the rank-2 draw above at three cuts: 1, 2 and 3 batched iterates
+    calls, inside = collections.Counter(), []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if inside:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def contract(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_contract(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    real_contract = frobsolve._contract
+    monkeypatch.setattr(frobsolve, "_contract", contract)
+    counted(frobsolve, "mat_mul")
+    counted(ValuedTrunc, "__add__")
+    counted(frobsolve, "_contraction_step")
+    module = random_module(random.Random(0), 3, 2, 0, 12)
+    params = SolverParams.for_tilt(3, 0, RingSpec(K3, "tilt", 1, 1))
+    seen = []
+    for extra in (0, 1, 4):
+        calls.clear()
+        spec = RingSpec(K3, "tilt", 1, params.c_work + extra)
+        out = compute_tstar(module, spec, budget=10**6, params=params)
+        # only the formation of the p^r solutions may use the views
+        assert calls["mat_mul"] <= len(out) and calls["__add__"] <= len(out) * module.rank
+        seen.append((calls["_contraction_step"], (calls["mat_mul"], calls["__add__"])))
+    assert [steps for steps, _ in seen] == [1, 2, 3]
+    assert len({views for _, views in seen}) == 1, seen
+
+
+# -- integer thresholds ---------------------------------------------------------
+
+def solver_regimes():
+    """(params, D) over p in {2,3,5,7}, i <= 3, tilt depth 1-2 and the
+    two least untilted levels with p^s > a."""
+    for p in (2, 3, 5, 7):
+        K = FiniteFieldParams(p)
+        for i in range(4):
+            for depth in (1, 2):
+                spec = RingSpec(K, "tilt", depth, 1)
+                yield SolverParams.for_spec(p, i, spec), spec.denominator
+            for extra in (0, 1):
+                s = untilted_level(p, i, extra)
+                params = SolverParams.for_untilted(p, i, s)
+                yield params, p**s * (p - 1)
+
+
+def test_index_bounds_match_the_fraction_predicates():
+    count = 0
+    for params, D in solver_regimes():
+        defect, correction, gain = params.index_bounds(D)
+        last = math.floor(params.working_floor * D) + D
+        for m in range(last + 1):
+            assert (m <= defect) == (Fraction(m, D) <= params.defect_floor)
+            assert (m <= correction) == (Fraction(m, D) <= params.correction_floor)
+        for g in range(-last, last + 1):
+            assert (g < gain) == (Fraction(g, D) < params.h)
+        count += 1
+    assert count == 4 * 4 * 4
+
+
+@pytest.mark.parametrize("p,mode,level,message,precondition", [
+    (3, "tilt", 1, "defect valuation 3/2 does not exceed a = 3/2",
+     "val(phi(x0) - x0 F) > a"),
+    (2, "tilt", 2, "defect valuation 2 does not exceed a = 2", "val(phi(x0) - x0 F) > a"),
+    (3, "untilted", 2, "defect valuation 1/6 does not exceed a/p^s = 1/6",
+     "val(x0^p - x0 F) > a/p^s"),
+])
+def test_lift_with_defect_exactly_at_a_is_too_shallow(p, mode, level, message, precondition):
+    # x0 = w (q-1)^i, w a root of the field modulus (w^p != w): on
+    # F = (q-1)^((p-1)i) its defect (w^p - w) (q-1)^(pi) sits exactly at a
+    K = FiniteFieldParams(p, 2)
+    module = make_rank1_module(p, 1, f=2)
+    if mode == "tilt":
+        params = SolverParams.for_tilt(p, 1, RingSpec(K, "tilt", level, 1))
+        spec = RingSpec(K, "tilt", level, params.c_work)
+    else:
+        params = SolverParams.for_untilted(p, 1, level)
+        spec = RingSpec(K, "untilted", level, params.working_floor)
+    x0 = PhiVector(spec, (ValuedTrunc(spec, {spec.embed_exponent: p}),))
+    with pytest.raises(PrecisionTooLow) as err:
+        contraction_lift(module, spec, x0, params=params)
+    assert (str(err.value), err.value.precondition) == (message, precondition)
+    # the batched lift's own integer check gives the same error
+    spec_int = params.working_spec(spec)
+    F_t, V_t = specialize(module, spec_int)
+    with pytest.raises(PrecisionTooLow) as err:
+        frobsolve._contract(spec, params, F_t, V_t, [x0.with_cut(spec_int.cut)], [(1,)])
+    assert (str(err.value), err.value.precondition) == (message, precondition)
+
+
 @pytest.mark.parametrize("depth", [4, 5])
 def test_tstar_deep_tilt_closed_form(depth):
     path = Path(__file__).resolve().parents[1] / "demos" / "modules" / "rank1_p3_i1.json"
