@@ -37,11 +37,27 @@ def emit(doc, started):
     print(json.dumps(doc))
 
 
+def _parse_budget(text, source):
+    """A budget written as an integer or a float (1e6), truncated to int."""
+    try:
+        return int(float(text))
+    except (ValueError, OverflowError):
+        raise RamlabError(f"{source} {text!r} is not a finite number") from None
+
+
+def _parse_rational(text, source):
+    """An exact rational written as an integer, a decimal or n/d."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise RamlabError(f"{source} {text!r} is not a rational number") from None
+
+
 def get_budget(args):
     if getattr(args, "budget", None):
-        return int(float(args.budget))
+        return _parse_budget(args.budget, "--budget")
     env = os.environ.get("PADIC_RAMLAB_BUDGET")
-    return int(float(env)) if env else DEFAULT_BUDGET
+    return _parse_budget(env, "PADIC_RAMLAB_BUDGET") if env else DEFAULT_BUDGET
 
 
 def primitive_root(p):
@@ -137,7 +153,7 @@ def cmd_herbrand(args):
     if args.mu:
         results["mu"] = rat(ramify.mu(data))
     if args.eval is not None:
-        t = Fraction(args.eval)
+        t = _parse_rational(args.eval, "--eval")
         results["eval"] = {"t": rat(t), "phi": rat(phi.evaluate(t))}
     if args.format == "text":
         print(data.to_text())
@@ -145,7 +161,6 @@ def cmd_herbrand(args):
         if args.mu:
             print(f"mu = {ramify.mu(data)}")
         if args.eval is not None:
-            t = Fraction(args.eval)
             print(f"phi({t}) = {phi.evaluate(t)}")
     else:
         emit({"command": "herbrand", "ok": True, "results": results}, started)
@@ -171,7 +186,7 @@ def cmd_solve(args):
                 warnings.append("gamma/phi commutation fails at this truncation")
     p = module.params.p
     budget = get_budget(args)
-    cut = Fraction(args.cut) if args.cut else None
+    cut = _parse_rational(args.cut, "--cut") if args.cut else None
     if args.mode == "tilt":
         probe = tiltring.RingSpec(module.params, tiltring.TILT, args.depth or 2, Fraction(1))
     elif args.level is None:

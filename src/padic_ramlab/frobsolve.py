@@ -18,12 +18,12 @@ lifts only the r kernel basis vectors, as the rows of one matrix, and
 forms the p^r solutions as their F_p-combinations.  The budget bounds
 the p^r solutions formed.  contraction_lift is the one-row case.
 
-The lift and the candidate search run on the series engine of qring:
-a row is a tuple of coefficient dicts, a valuation is a least monomial
-index m (ring valuation m/D), and the thresholds of SolverParams are
-integers over D (index_bounds).  PhiVector, ValuedTrunc and Fraction
-valuations are the API at entry and exit: starts in, solutions and
-LiftResult transcripts out.
+Inside, the solver runs on the series engine of qring: a row is a tuple
+of coefficient dicts, a valuation is a least monomial index m (ring
+valuation m/D), and the thresholds of SolverParams are integers over D
+(index_bounds).  The views (PhiVector, ValuedTrunc) are read once, at
+entry (x0, and F_t, V_t from specialize), and built once, for results
+(solutions, JcSet elements) and error texts.
 
 enumerate_jc is the deliberately brute-force oracle: a full grid scan
 of coefficient vectors against the congruence, guarded by a budget on
@@ -34,7 +34,7 @@ validated against.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional
@@ -288,13 +288,23 @@ class PhiVector:
 
 
 # -- dict rows ----------------------------------------------------------------
-# The solver's loops run on the series engine: a row is a tuple of
-# coefficient dicts over one ring, and a valuation is a least monomial
-# index (math.inf for zero), of ring valuation index/D.
+# A row is a tuple of coefficient dicts over one ring, zero entries empty,
+# and a valuation is a least monomial index (math.inf for zero), of ring
+# valuation index/D.
 
 def _index(row):
     """Least monomial index over the entries of a dict row; math.inf for zero."""
     return min((min(e) for e in row if e), default=math.inf)
+
+
+def _row_key(row):
+    """The order of PhiVector._key, for dict rows over one ring."""
+    return tuple(tuple(sorted(e.items())) for e in row)
+
+
+def _truncate(row, last):
+    """A dict row without its monomials of index above last."""
+    return tuple({m: c for m, c in e.items() if m <= last} for e in row)
 
 
 def _dicts(spec, rows):
@@ -324,20 +334,6 @@ def _defect_rows(k, X, F, top):
             for x, xF in zip(X, series_matmul(k, X, F, top))]
 
 
-def _defects(rows, F_t):
-    """phi(x) - x F for every PhiVector x of rows, as PhiVectors."""
-    if not rows:
-        return []
-    spec = rows[0].spec
-    X = _dicts(spec, [x.entries for x in rows])
-    return [_wrap(spec, row)
-            for row in _defect_rows(spec.params, X, _dicts(spec, F_t), spec.m_max + 1)]
-
-
-def _defect(x, F_t):
-    return _defects([x], F_t)[0]
-
-
 @dataclass(frozen=True)
 class JcSet:
     spec: RingSpec
@@ -345,9 +341,10 @@ class JcSet:
     elements: tuple
 
     def verify(self, F_t):
-        for x in self.elements:
-            if not _defect(x, F_t).is_zero():
-                raise StructureViolation("stored element fails the congruence")
+        spec = self.spec
+        X = _dicts(spec, [x.entries for x in self.elements])
+        if any(map(any, _defect_rows(spec.params, X, _dicts(spec, F_t), spec.m_max + 1))):
+            raise StructureViolation("stored element fails the congruence")
         return True
 
     def __len__(self):
@@ -396,13 +393,12 @@ def enumerate_jc(module, spec, budget, cut=None, witness=None):
             budget=budget,
         )
     F_t, _ = specialize(module, spec, witness=witness)
-    coords = [ValuedTrunc(spec, {m: c for m, c in enumerate(digits) if c})
-              for digits in product(range(q), repeat=spec.m_max + 1)]
-    grid = (PhiVector(spec, combo) for combo in product(coords, repeat=d))
-    found = sorted((x for x in grid if _defect(x, F_t).is_zero()), key=PhiVector._key)
-    result = JcSet(spec=spec, cut=spec.cut, elements=tuple(found))
-    result.verify(F_t)
-    return result
+    k, top, F = spec.params, spec.m_max + 1, _dicts(spec, F_t)
+    coords = [{m: c for m, c in enumerate(digits) if c}
+              for digits in product(range(q), repeat=top)]
+    found = sorted((x for x in product(coords, repeat=d)
+                    if not any(_defect_rows(k, [x], F, top)[0])), key=_row_key)
+    return JcSet(spec=spec, cut=spec.cut, elements=tuple(_wrap(spec, x) for x in found))
 
 
 # -- contraction lifting ------------------------------------------------------
@@ -424,16 +420,18 @@ def contraction_lift(module, spec, x0, params=None, witness=None):
     if witness is None:
         witness = verify_height(module)
     spec_int = params.working_spec(spec)
-    F_t, V_t = specialize(module, spec_int, witness=witness)
-    start = x0.with_cut(spec_int.cut)
-    input_defect = _defect(start, F_t).val()
+    F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int, witness=witness))
+    (start,) = _dicts(spec, [x0.entries])
+    m = _index(_defect_rows(spec.params, [start], F, spec_int.m_max + 1)[0])
+    input_defect = math.inf if m == math.inf else spec.monomial_val(m)
     params.check_defect(input_defect)
     if params.restarts_at_b:
-        start = x0.reduce_to(_candidate_cut(spec, params)).with_cut(spec_int.cut)
+        start = _truncate(start, params.index_bounds(spec.denominator)[1])
     # _contract checks the correction from start; from x0 it is the same
     # check, since start and x0 agree up to b
-    (lifted,) = _contract(spec, params, F_t, V_t, [start], [(1,)])
-    return replace(lifted, input_defect=input_defect)
+    ((row, transcript),) = _contract(spec, params, F, V, [start], [(1,)])
+    return LiftResult(solution=_wrap(spec, row), transcript=transcript,
+                      iterations=len(transcript) - 1, input_defect=input_defect)
 
 
 def _divide(a, j):
@@ -465,9 +463,11 @@ def _span(k, rows, d):
     return combine
 
 
-def _contract(spec, params, F_t, V_t, starts, combos):
+def _contract(spec, params, F, V, starts, combos):
     """The lifts of the combinations combos (tuples in F_p^r) of the r
-    rows of starts (at the working cut), iterating on the r rows only.
+    dict rows starts, iterating on the r rows only; F and V are the dict
+    matrices at the working cut.  Returns a (solution row, transcript)
+    pair per combination, in the order of combos.
 
     The iteration is F_p-linear, so a combination's k-th correction and
     defect are that combination of the rows' ones.  Each combination is
@@ -475,17 +475,14 @@ def _contract(spec, params, F_t, V_t, starts, combos):
     same iteration cap, correction above b); the first in combos whose
     lift fails raises its error.
 
-    PhiVectors and ValuedTruncs are only the edge: the starts, F_t and
-    V_t are read once as dict rows (their ring checked once, here), and
-    every iterate is engine calls on dict rows.  A valuation is a least
-    monomial index m, of ring valuation m/D, and the thresholds are the
-    integers of SolverParams.index_bounds; a Fraction is built only for
-    a LiftResult and for an error text.
+    Every iterate is engine calls on dict rows, which the callers read
+    from views at entry and wrap as views for their results.  A valuation
+    is a least monomial index m, of ring valuation m/D, and the
+    thresholds are the integers of SolverParams.index_bounds; a Fraction
+    is built only for a transcript and for an error text.
     """
     spec_int = params.working_spec(spec)
     k, top, D, last = spec.params, spec_int.m_max + 1, spec.denominator, spec.m_max
-    F, V = _dicts(spec_int, F_t), _dicts(spec_int, V_t)
-    starts = _dicts(spec_int, [x.entries for x in starts])
     d, shift = len(F), params.div_exp(spec)
     defect_floor, correction_floor, gain = params.index_bounds(D)
     # the cap ceil((cut - m0/D) / h) + 8 of a lift whose input defect has
@@ -498,9 +495,6 @@ def _contract(spec, params, F_t, V_t, starts, combos):
         if m not in valuations:
             valuations[m] = Fraction(m, D)
         return valuations[m]
-
-    def below_cut(row):
-        return tuple({m: c for m, c in e.items() if m <= last} for e in row)
 
     Q = defects = _defect_rows(k, starts, F, top)
     Y = [({},) * d] * len(starts)
@@ -526,13 +520,11 @@ def _contract(spec, params, F_t, V_t, starts, combos):
                         f"contraction rate violated: defect went {valuation(t[-2])} -> "
                         f"{valuation(m)}, gain below h = {params.h}")
                 if m == math.inf:
-                    y = below_cut(correction_of(combos[n]))
+                    y = _truncate(correction_of(combos[n]), last)
                     if (corr := _index(y)) <= correction_floor:
                         params.check_correction(valuation(corr))
-                    lifted[n] = LiftResult(
-                        solution=_wrap(spec, _row_add(k, below_cut(start_of(combos[n])), y)),
-                        transcript=tuple(map(valuation, t)), iterations=len(t) - 1,
-                        input_defect=valuation(t[0]))
+                    lifted[n] = (_row_add(k, _truncate(start_of(combos[n]), last), y),
+                                 tuple(map(valuation, t)))
                 elif len(t) > (cap := -((t[0] * d1 - n1) * d2 // (d1 * n2)) + 8):
                     raise NoConvergenceWithinCut(
                         f"defect still nonzero after {cap} iterates at cut {spec_int.cut}")
@@ -590,42 +582,43 @@ def _kernel_mod_p(rows, n, p):
     return basis
 
 
-def _candidate_space(spec, params, F_t, budget):
+def _candidate_space(spec, params, F, budget):
     """Every x at the cut b whose zero extension has defect valuation > a.
 
     The unknowns are the F_p-digits of the coefficients of x: unknown
     (j, m, t) is digit t of the coefficient of u^m in entry j.  Its
     column is the defect of that unit vector at the full cut, read at
     each monomial of valuation <= a and split into digits; the candidates
-    are the kernel.  Its p^r elements are checked against the budget,
-    then returned as (coordinates in the kernel basis, candidate) pairs
-    sorted by candidate, the order of enumerate_jc.
+    are the kernel.  Its p^r elements are checked against the budget.
+    F is the dict matrix at the cut; returned are the r kernel basis
+    rows and the p^r (coordinates in that basis, candidate) pairs, all
+    dict rows, sorted by candidate in the order of PhiVector._key (the
+    order of enumerate_jc, which decides whose lift error is raised).
     """
     k = spec.params
-    p, f, d = k.p, k.f, len(F_t)
-    spec_b = spec.with_cut(_candidate_cut(spec, params))
-    slots = spec_b.m_max + 1
-    top = params.index_bounds(spec.denominator)[0]
+    p, f, d = k.p, k.f, len(F)
+    top, last_b, _ = params.index_bounds(spec.denominator)
+    slots = last_b + 1
     units = [tuple({m: p**t} if jj == j else {} for jj in range(d))
              for j in range(d) for m in range(slots) for t in range(f)]
     columns = [[c for e in defect for mono in range(top + 1) for c in k.digits(e.get(mono, 0))]
-               for defect in _defect_rows(k, units, _dicts(spec, F_t), spec.m_max + 1)]
-    basis = _kernel_mod_p(zip(*columns), len(columns), p)
-    size = p ** len(basis)
+               for defect in _defect_rows(k, units, F, spec.m_max + 1)]
+    kernel = _kernel_mod_p(zip(*columns), len(columns), p)
+    size = p ** len(kernel)
     if size > budget:
         raise BudgetExceeded(
             f"solution space p^r = {size} exceeds budget {budget}",
             search_space=size,
             budget=budget,
         )
-    rows = []
-    for v in basis:
+    basis = []
+    for v in kernel:
         coeffs = [k.encode(v[s:s + f]) for s in range(0, len(v), f)]
-        rows.append(tuple({m: c for m, c in enumerate(coeffs[j * slots:(j + 1) * slots]) if c}
-                          for j in range(d)))
-    combine = _span(k, rows, d)
-    return sorted(((c, _wrap(spec_b, combine(c))) for c in product(range(p), repeat=len(rows))),
-                  key=lambda cx: cx[1]._key())
+        basis.append(tuple({m: c for m, c in enumerate(coeffs[j * slots:(j + 1) * slots]) if c}
+                           for j in range(d)))
+    combine = _span(k, basis, d)
+    return basis, sorted(((c, combine(c)) for c in product(range(p), repeat=len(basis))),
+                         key=lambda cx: _row_key(cx[1]))
 
 
 def compute_tstar(module, spec, budget, params=None):
@@ -635,10 +628,11 @@ def compute_tstar(module, spec, budget, params=None):
     extension has defect valuation above a: a kernel of dimension r
     (_candidate_space), whose p^r elements the budget bounds.  Lifting is
     F_p-linear (the lift is unique, reduction at b injective), so only
-    the r basis vectors are lifted, together (_contract), and each
+    the r basis rows are lifted, together (_contract), and each
     solution and its transcript is formed as an F_p-combination of
-    theirs.  Each is checked: zero defect at the cut, reduction at b
-    equal to its candidate, p^r distinct solutions.
+    theirs.  Each is checked on dict rows: zero defect at the cut,
+    reduction at b equal to its candidate, p^r distinct solutions.  Only
+    the sorted solutions are wrapped as PhiVectors.
     """
     if params is None:
         params = SolverParams.for_spec(module.params.p, module.height, spec)
@@ -647,32 +641,34 @@ def compute_tstar(module, spec, budget, params=None):
     if module.rank == 0:
         empty = PhiVector(spec, ())
         return TstarResult(solutions=(empty,), rank=0, lifts=(), params=params, spec=spec)
-    F_t, _ = specialize(module, spec, witness=witness)
-    candidates = _candidate_space(spec, params, F_t, budget)
-    rank = len(candidates[0][0])
+    F = _dicts(spec, specialize(module, spec, witness=witness)[0])
+    basis, candidates = _candidate_space(spec, params, F, budget)
+    rank = len(basis)
     spec_int = params.working_spec(spec)
-    # the basis vectors e_0, ..., e_(r-1), in descending order
-    starts = [x.with_cut(spec_int.cut) for c, x in sorted(candidates, reverse=True)
-              if sum(c) == 1]
-    lifts = _contract(spec, params, *specialize(module, spec_int, witness=witness), starts,
-                      [c for c, _ in candidates])
-    solutions = [lifted.solution for lifted in lifts]
-    cut_b = _candidate_cut(spec, params)
-    for (_, x0), x, defect in zip(candidates, solutions, _defects(solutions, F_t)):
-        if not defect.is_zero() or x.reduce_to(cut_b) != x0:
-            raise StructureViolation(f"formed solution {x.to_text()} is not the lift of "
-                                     f"{x0.to_text()}")
-    if len(set(solutions)) != len(solutions):
+    F_int, V_int = (_dicts(spec_int, M) for M in specialize(module, spec_int, witness=witness))
+    lifted = _contract(spec, params, F_int, V_int, basis, [c for c, _ in candidates])
+    rows = [x for x, _ in lifted]
+    last_b = params.index_bounds(spec.denominator)[1]
+    for (_, x0), x, defect in zip(candidates, rows,
+                                  _defect_rows(spec.params, rows, F, spec.m_max + 1)):
+        if any(defect) or _truncate(x, last_b) != x0:
+            raise StructureViolation(f"formed solution {_wrap(spec, x).to_text()} is not the "
+                                     f"lift of {_wrap(spec, x0).to_text()}")
+    keys = [_row_key(x) for x in rows]
+    if len(set(keys)) != len(keys):
         raise StructureViolation("distinct candidates lifted to one solution")
     if rank > module.rank * module.params.f:
         raise StructureViolation(
             f"rank {rank} exceeds the bound d*f = {module.rank * module.params.f}"
         )
-    lifts.sort(key=lambda lifted: lifted.solution._key())
+    # the keys are distinct, so the sort never compares two lifts
+    lifts = tuple(LiftResult(solution=_wrap(spec, x), transcript=t, iterations=len(t) - 1,
+                             input_defect=t[0])
+                  for _, (x, t) in sorted(zip(keys, lifted)))
     return TstarResult(
-        solutions=tuple(lifted.solution for lifted in lifts),
+        solutions=tuple(x.solution for x in lifts),
         rank=rank,
-        lifts=tuple(lifts),
+        lifts=lifts,
         params=params,
         spec=spec,
     )

@@ -90,12 +90,18 @@ class BreakData:
         chunks = [c.strip() for c in text.split(";") if c.strip()]
         if not chunks or not chunks[0].startswith("order="):
             raise ValueError("break data must start with 'order=<n>'")
-        total = int(chunks[0][len("order="):])
+        try:
+            total = int(chunks[0][len("order="):])
+        except ValueError:
+            raise ValueError(f"{chunks[0]!r} must read order=<integer>") from None
         breaks = []
         for chunk in chunks[1:]:
-            body = chunk.strip().strip("()")
-            fields = dict(part.strip().split("=") for part in body.split(","))
-            breaks.append((Fraction(fields["lambda"]), int(fields["size"])))
+            try:
+                fields = dict(part.strip().split("=") for part in chunk.strip("()").split(","))
+                breaks.append((Fraction(fields["lambda"]), int(fields["size"])))
+            except (KeyError, ValueError, ZeroDivisionError):
+                raise ValueError(f"break {chunk!r} must read (lambda=<rational>, "
+                                 "size=<integer>)") from None
         return cls(total_order=total, breaks=tuple(breaks))
 
 

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from padic_ramlab.errors import HeightExceeded, NotDivisible, TruncationTooLow
-from padic_ramlab.frobsolve import _candidate_space, contraction_lift
+from padic_ramlab.frobsolve import _candidate_space, _dicts, _wrap, contraction_lift
 from padic_ramlab.qring import invert_unit, try_divide
 from padic_ramlab.wach import mat_adjugate, mat_det, specialize, verify_height
 
@@ -310,11 +310,12 @@ def lift_each_candidate(module, spec, budget, params):
 
     Shares the kernel and the one-row contraction_lift with the library:
     it checks how compute_tstar forms p^r solutions from r batched lifts.
+    Each candidate, a dict row, enters contraction_lift as a PhiVector
+    over the ring of spec.
     """
     witness = verify_height(module)
     F_t, _ = specialize(module, spec, witness=witness)
-    candidates = _candidate_space(spec, params, F_t, budget)
-    lifts = [contraction_lift(module, spec, x.with_cut(spec.cut), params=params,
-                              witness=witness)
+    basis, candidates = _candidate_space(spec, params, _dicts(spec, F_t), budget)
+    lifts = [contraction_lift(module, spec, _wrap(spec, x), params=params, witness=witness)
              for _, x in candidates]
-    return len(candidates[0][0]), sorted(lifts, key=lambda lifted: lifted.solution._key())
+    return len(basis), sorted(lifts, key=lambda lifted: lifted.solution._key())

@@ -1,7 +1,8 @@
 """Property test of the ramlab front end on generated input.
 
-Whatever module file or suite arguments it is given, cli.main returns
-0, 1 or 2 and never lets an exception (a traceback) escape.
+Whatever module file, break file, suite arguments or numeric option
+strings it is given, cli.main returns 0, 1 or 2 and never lets an
+exception (a traceback) escape.
 """
 
 import contextlib
@@ -10,6 +11,7 @@ import json
 import os
 import random
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -101,5 +103,81 @@ def test_solve_on_generated_module_files(doc, options, flags, fmt):
 def test_verify_on_generated_arguments(suite, p, i, count, bounds):
     code, err = run(["verify", suite, "-p", p, "-i", i, "--count", count, "--seed", "1",
                      "--pmax", bounds, "--imax", bounds, "--budget", "200"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# -- numeric option strings and break files -----------------------------------
+
+number = st.one_of(
+    st.sampled_from(["1e400", "-1e400", "1e999", "nan", "inf", "1/0", "0/0", "-3", "0", "",
+                     "7/2", "1/-2", "2.5", "1e-9", "3/", "x"]),
+    st.integers(-10, 10**6).map(str),
+    st.fractions(min_value=-10, max_value=10**4, max_denominator=50).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text("0123456789/.-+en", max_size=8),
+)
+DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "demos", "modules", "rank1_p3_i1.json")
+
+
+@hypothesis.settings(max_examples=40, **SETTINGS)
+@hypothesis.given(budget=number, cut=number)
+@hypothesis.example(budget="1e400", cut="7/2")
+@hypothesis.example(budget="200", cut="1/0")
+@hypothesis.example(budget="nan", cut="-3")
+def test_solve_on_generated_budget_and_cut(budget, cut):
+    code, err = run(["solve", DEMO, f"--budget={budget}", f"--cut={cut}"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@hypothesis.settings(max_examples=20, **SETTINGS)
+@hypothesis.given(budget=number)
+@hypothesis.example(budget="1e999")
+def test_verify_on_generated_budget_variable(budget):
+    with mock.patch.dict(os.environ, {"PADIC_RAMLAB_BUDGET": budget}):
+        code, err = run(["verify", "approx1", "-p", "2", "-i", "1"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@hypothesis.settings(max_examples=30, **SETTINGS)
+@hypothesis.given(value=number, fmt=st.sampled_from(["json", "text"]))
+@hypothesis.example(value="1/0", fmt="json")
+@hypothesis.example(value="1e400", fmt="text")
+def test_herbrand_eval_on_generated_strings(value, fmt):
+    code, err = run(["herbrand", "cyclotomic", "-p", "3", "-n", "2", f"--eval={value}",
+                     "--format", fmt])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+field = st.one_of(
+    st.builds("lambda={}".format, number),
+    st.builds("size={}".format, number),
+    st.text("lambdasize=,()/0123 ", max_size=8),
+)
+break_text = st.builds(
+    lambda head, chunks, sep: sep.join([head, *chunks]),
+    st.one_of(st.builds("order={}".format, number), st.text("order=0123;", max_size=8)),
+    st.lists(st.lists(field, max_size=3).map(lambda fs: "(" + ", ".join(fs) + ")"),
+             max_size=3),
+    st.sampled_from(["; ", ";", " ; ", ";;"]),
+)
+
+
+@hypothesis.settings(max_examples=60, **SETTINGS)
+@hypothesis.given(text=break_text, flags=st.lists(st.sampled_from(["--mu", "--eval=2"]),
+                                                   unique=True))
+@hypothesis.example(text="order=4; (lambda=1/0, size=2)", flags=[])
+@hypothesis.example(text="order=4; (size=2)", flags=["--mu"])
+@hypothesis.example(text="order=4; (lambda=1, size=2)", flags=["--mu", "--eval=2"])
+def test_herbrand_file_on_generated_break_text(text, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "breaks.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, err = run(["herbrand", "file", "--path", path, *flags])
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -27,7 +27,8 @@ from padic_ramlab.frobsolve import (
     enumerate_jc,
     galois_act_jc,
 )
-from padic_ramlab.frobsolve import _candidate_cut, _candidate_space, _defect
+from padic_ramlab.frobsolve import (_candidate_cut, _candidate_space, _defect_rows, _dicts,
+                                     _wrap)
 from padic_ramlab.gf import FiniteFieldParams
 from padic_ramlab.qring import QPoly
 from padic_ramlab.tiltring import RingSpec, ValuedTrunc
@@ -353,12 +354,14 @@ ORACLE_GRID_CAP = 1000
 
 def kernel_and_oracle(module, spec, params):
     """The kernel candidates next to the filtered enumerate_jc grid."""
-    F_t, _ = specialize(module, spec)
-    kernel = [x for _, x in _candidate_space(spec, params, F_t, budget=10**6)]
+    F = _dicts(spec, specialize(module, spec)[0])
+    _, candidates = _candidate_space(spec, params, F, budget=10**6)
+    kernel = [x for _, x in candidates]
     cut_b = spec.with_cut(_candidate_cut(spec, params))
     oracle = enumerate_jc(module, cut_b, budget=ORACLE_GRID_CAP)
-    filtered = [x for x in oracle.elements
-                if _defect(x.with_cut(spec.cut), F_t).val() > params.defect_floor]
+    filtered = [x for x in _dicts(cut_b, [x.entries for x in oracle.elements])
+                if _wrap(spec, _defect_rows(spec.params, [x], F, spec.m_max + 1)[0]).val()
+                > params.defect_floor]
     return kernel, filtered
 
 
@@ -428,12 +431,12 @@ def test_tstar_is_a_closed_span_of_kernel_dimension():
     modes = set()
     for module, spec, params in cases:
         out = compute_tstar(module, spec, budget=10**6, params=params)
-        F_t, _ = specialize(module, spec)
-        coords, _ = _candidate_space(spec, params, F_t, budget=10**6)[0]
+        F = _dicts(spec, specialize(module, spec)[0])
+        basis, _ = _candidate_space(spec, params, F, budget=10**6)
         p = module.params.p
         assert fp_closed(out.solutions, p), (module, spec)
         assert len(out) == p**out.rank
-        assert out.rank == len(coords)
+        assert out.rank == len(basis)
         modes.add(spec.mode)
     assert modes == {"tilt", "untilted"}
 
@@ -487,12 +490,13 @@ def random_differential_case(rng):
 
 
 def outcome(run):
-    """What a T* route gives: its error type, or the rank and, per
-    solution in order, the solution, transcript, iterations and input defect."""
+    """What a T* route gives: its error (type, text and precondition), or
+    the rank and, per solution in order, the solution, transcript,
+    iterations and input defect."""
     try:
         rank, lifts = run()
     except RamlabError as exc:
-        return type(exc).__name__
+        return type(exc).__name__, str(exc), exc.precondition
     return rank, [(x.solution, x.transcript, x.iterations, x.input_defect) for x in lifts]
 
 
@@ -509,7 +513,7 @@ def test_batched_lift_matches_one_lift_per_candidate():
         got = outcome(batched)
         assert got == outcome(lambda: lift_each_candidate(module, spec, budget, params)), \
             (module, spec)
-        seen[spec.mode, got if isinstance(got, str) else "solved"] += 1
+        seen[spec.mode, got[0] if isinstance(got[0], str) else "solved"] += 1
     assert seen["tilt", "solved"] >= 50 and seen["untilted", "solved"] >= 50, seen
     assert seen["tilt", "StructureViolation"] >= 3, seen
 
@@ -636,9 +640,9 @@ def test_lift_with_defect_exactly_at_a_is_too_shallow(p, mode, level, message, p
     assert (str(err.value), err.value.precondition) == (message, precondition)
     # the batched lift's own integer check gives the same error
     spec_int = params.working_spec(spec)
-    F_t, V_t = specialize(module, spec_int)
+    F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int))
     with pytest.raises(PrecisionTooLow) as err:
-        frobsolve._contract(spec, params, F_t, V_t, [x0.with_cut(spec_int.cut)], [(1,)])
+        frobsolve._contract(spec, params, F, V, _dicts(spec, [x0.entries]), [(1,)])
     assert (str(err.value), err.value.precondition) == (message, precondition)
 
 
