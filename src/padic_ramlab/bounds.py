@@ -42,24 +42,35 @@ def _check_args(p, i):
 def alpha(p, i):
     """Least integer a >= 0 with p^a > i*p/(p-1), by exact comparison."""
     _check_args(p, i)
-    threshold = Fraction(i * p, p - 1)
     a = 0
     power = 1
-    while power <= threshold:
+    while power * (p - 1) <= i * p:
         a += 1
         power *= p
     return a
 
 
+def _formula(p, i, a):
+    """(beta, crystalline, semistable) of (p, i) at its alpha a.
+
+    Both maxima are taken over the common denominator p^a (p-1): the
+    numerator of beta is max(i*p - p^a, 0), and that of the semistable
+    excess over 1 + a is max(i*p - (p-1), p^a).
+    """
+    power = p**a
+    den = power * (p - 1)
+    b = Fraction(max(i * p - power, 0), den)
+    return b, 1 + a + b, 1 + a + Fraction(max(i * p - p + 1, power), den)
+
+
 def beta(p, i):
     """max(0, i*p / (p^alpha (p-1)) - 1/(p-1))."""
-    a = alpha(p, i)
-    return max(Fraction(0), Fraction(i * p, p**a * (p - 1)) - Fraction(1, p - 1))
+    return _formula(p, i, alpha(p, i))[0]
 
 
 def crystalline_bound(p, i):
     """1 + alpha + beta: the ramification cutoff in the crystalline case."""
-    return 1 + alpha(p, i) + beta(p, i)
+    return _formula(p, i, alpha(p, i))[1]
 
 
 def semistable_bound(p, i):
@@ -68,12 +79,7 @@ def semistable_bound(p, i):
     The common value of the earlier semistable-case bounds over an
     absolutely unramified base, with the same alpha.
     """
-    _check_args(p, i)
-    a = alpha(p, i)
-    return 1 + a + max(
-        Fraction(i * p, p**a * (p - 1)) - Fraction(1, p**a),
-        Fraction(1, p - 1),
-    )
+    return _formula(p, i, alpha(p, i))[2]
 
 
 @dataclass(frozen=True)
@@ -124,12 +130,12 @@ def bound_grid(p_list, i_max):
     rows = []
     for p in p_list:
         for i in range(1, i_max + 1):
-            c = crystalline_bound(p, i)
-            s = semistable_bound(p, i)
+            a = alpha(p, i)
+            _, c, s = _formula(p, i, a)
             rows.append({
                 "p": p,
                 "i": i,
-                "alpha": alpha(p, i),
+                "alpha": a,
                 "crystalline": c,
                 "semistable": s,
                 "difference": s - c,

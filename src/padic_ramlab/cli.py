@@ -6,13 +6,18 @@ stderr.  Exit codes: 0 success, 1 verification failure, 2 usage, input
 or regime error.  Rationals are emitted as {"num": .., "den": ..}; output
 is byte-identical across runs except for the timing field.
 
-The budget comes from --budget or PADIC_RAMLAB_BUDGET (default 10^6).
-For solve it bounds the p^r solutions that are materialized and lifted;
+The budget comes from --budget or PADIC_RAMLAB_BUDGET (default 10^6)
+and must be a positive integer (a float such as 1e6 is truncated).  For
+solve it bounds the p^r solutions that are materialized and lifted;
 the full coefficient grid (p^f)^(d(m+1)) is bounded only where the
 enumerate_jc oracle scans it (verify approx1).
+
+The argparse parser is built once per process, the first time main needs
+it, and shared by every later call; parsing keeps no state in it.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -38,11 +43,14 @@ def emit(doc, started):
 
 
 def _parse_budget(text, source):
-    """A budget written as an integer or a float (1e6), truncated to int."""
+    """A budget written as an integer or a float (1e6), truncated to int >= 1."""
     try:
-        return int(float(text))
+        budget = int(float(text))
     except (ValueError, OverflowError):
         raise RamlabError(f"{source} {text!r} is not a finite number") from None
+    if budget < 1:
+        raise RamlabError(f"{source} {text!r} is not a positive budget (at least 1)")
+    return budget
 
 
 def _parse_rational(text, source):
@@ -90,7 +98,7 @@ def cmd_bound(args):
     if args.format == "text":
         line = f"p={args.p} i={args.i} alpha={a} beta={b} crystalline={crys}"
         if args.compare:
-            line += f" semistable={bounds.semistable_bound(args.p, args.i)}"
+            line += f" semistable={semi}"
         print(line)
     else:
         emit({"command": "bound", "ok": True, "results": results}, started)
@@ -386,10 +394,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one parser, built on first use."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

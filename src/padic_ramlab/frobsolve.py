@@ -340,13 +340,6 @@ class JcSet:
     cut: Fraction
     elements: tuple
 
-    def verify(self, F_t):
-        spec = self.spec
-        X = _dicts(spec, [x.entries for x in self.elements])
-        if any(map(any, _defect_rows(spec.params, X, _dicts(spec, F_t), spec.m_max + 1))):
-            raise StructureViolation("stored element fails the congruence")
-        return True
-
     def __len__(self):
         return len(self.elements)
 

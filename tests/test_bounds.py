@@ -79,10 +79,15 @@ def test_dominance_grid():
 
 
 def test_grid_recomputes_identically():
-    rows = bound_grid([3], 10)
+    p_list = [p for p in range(2, 24) if is_prime(p)]
+    rows = bound_grid(p_list, 120)
+    assert len(rows) == len(p_list) * 120
     for r in rows:
-        assert r["crystalline"] == crystalline_bound(r["p"], r["i"])
-        assert r["semistable"] == semistable_bound(r["p"], r["i"])
+        p, i = r["p"], r["i"]
+        c, s = crystalline_bound(p, i), semistable_bound(p, i)
+        assert r == {"p": p, "i": i, "alpha": alpha(p, i), "crystalline": c,
+                     "semistable": s, "difference": s - c}
+        assert type(r["crystalline"]) is type(r["semistable"]) is Fraction
 
 
 def test_csv_schema():

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from padic_ramlab import wach
+from padic_ramlab import cli, wach
 from padic_ramlab.cli import main
+
+from .test_cli_golden import cases, load_fixture, run_case
 
 
 def run(capsys, *argv):
@@ -157,9 +159,52 @@ def test_budget_env_var(rank1_file, capsys, monkeypatch):
     assert run(capsys, "solve", rank1_file, "--depth", "1")[0] == 0
 
 
-def test_verify_failure_exits_1(capsys, monkeypatch):
-    from padic_ramlab import cli
+@pytest.mark.parametrize("budget", ["-3", "0", "0.5", "-1e6"])
+def test_budget_below_one_is_rejected_by_name(rank1_file, capsys, monkeypatch, budget):
+    code, _, err = run(capsys, "solve", rank1_file, "--depth", "1", f"--budget={budget}")
+    assert code == 2
+    assert f"--budget {budget!r}" in err and "solution space" not in err
+    monkeypatch.setenv("PADIC_RAMLAB_BUDGET", budget)
+    code, _, err = run(capsys, "verify", "approx1", "-p", "2", "-i", "1")
+    assert code == 2
+    assert f"PADIC_RAMLAB_BUDGET {budget!r}" in err
 
+
+def test_budget_one_is_accepted(rank1_file, capsys):
+    # p^r = 2 solutions exceed a budget of 1: the budget itself is valid
+    code, _, err = run(capsys, "solve", rank1_file, "--depth", "1", "--budget", "1")
+    assert code == 2 and "solution space" in err
+
+
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for n in range(20):
+            argv = ["bound", "-p", "3", "-i", str(n)] if n % 2 else ["bogus-subcommand"]
+            assert main(argv) == (0 if n % 2 else 2)
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_shared_parser_carries_no_state_between_calls():
+    want = {tuple(argv): (case["code"], case["stdout"])
+            for argv, case in load_fixture().items()}
+    for order in (cases(), cases()[::-1]):
+        got = {tuple(argv): run_case(argv) for argv in order}
+        assert {argv: (case["code"], case["stdout"]) for argv, case in got.items()} == want
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(cli._SUITES, "tate-exclusion",
                         lambda args: [{"check": "forced", "pass": False}])
     code, out, _ = run(capsys, "verify", "tate-exclusion")

@@ -1,13 +1,16 @@
 """Property tests against outside arithmetic: gf against sympy's GF(p)[x]
-modulo the lexicographically first irreducible, and the associativity of
-Herbrand function composition on random filtrations."""
+modulo the lexicographically first irreducible, the associativity of
+Herbrand function composition on random filtrations, and the integer
+bounds against their Fraction closed forms."""
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
-from padic_ramlab.gf import FiniteFieldParams
+from padic_ramlab.bounds import alpha, beta, crystalline_bound, semistable_bound
+from padic_ramlab.gf import FiniteFieldParams, is_prime
 from padic_ramlab.ramify import phi_fn, psi_fn
 
 from .conftest import random_break_data
@@ -71,3 +74,18 @@ def test_herbrand_compose_is_associative(seed, use_phi):
     phis = [phi_fn(random_break_data(rng)) for _ in use_phi]
     f, g, h = (fn if flag else psi_fn(fn) for fn, flag in zip(phis, use_phi))
     assert f.compose(g).compose(h) == f.compose(g.compose(h))
+
+
+@hypothesis.settings(**dict(SETTINGS, max_examples=300))
+@given(st.sampled_from([p for p in range(2, 51) if is_prime(p)]), st.integers(1, 500))
+def test_alpha_is_least_exponent_above_threshold_and_formulas_hold(p, i):
+    threshold = Fraction(i * p, p - 1)
+    a = alpha(p, i)
+    assert a >= 0 and p**a > threshold
+    assert a == 0 or p ** (a - 1) <= threshold
+    # the closed forms of the docstrings, in Fraction arithmetic
+    b = max(Fraction(0), Fraction(i * p, p**a * (p - 1)) - Fraction(1, p - 1))
+    assert beta(p, i) == b
+    assert crystalline_bound(p, i) == 1 + a + b
+    assert semistable_bound(p, i) == 1 + a + max(
+        Fraction(i * p, p**a * (p - 1)) - Fraction(1, p**a), Fraction(1, p - 1))
