@@ -112,14 +112,15 @@ def tate_exclusion(p):
         filtration = None
     if filtration is not None and ramify.mu(filtration) != tate_mu:
         raise AssertionError("tabled break data disagrees with 2 + 1/(p-1)")
-    crys = crystalline_bound(p, 1)
+    a = alpha(p, 1)
+    b, crys, semi = _formula(p, 1, a)
     return BoundReport(
         p=p,
         i=1,
-        alpha=alpha(p, 1),
-        beta=beta(p, 1),
+        alpha=a,
+        beta=b,
         crystalline=crys,
-        semistable=semistable_bound(p, 1),
+        semistable=semi,
         tate_mu=tate_mu,
         excluded=tate_mu > crys,
     )

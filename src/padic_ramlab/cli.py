@@ -87,12 +87,10 @@ def primitive_root(p):
 def cmd_bound(args):
     started = time.perf_counter()
     a = bounds.alpha(args.p, args.i)
-    b = bounds.beta(args.p, args.i)
-    crys = bounds.crystalline_bound(args.p, args.i)
+    b, crys, semi = bounds._formula(args.p, args.i, a)
     results = {"p": args.p, "i": args.i, "alpha": a, "beta": rat(b),
                "crystalline": rat(crys)}
     if args.compare:
-        semi = bounds.semistable_bound(args.p, args.i)
         results["semistable"] = rat(semi)
         results["difference"] = rat(semi - crys)
     if args.format == "text":

@@ -6,7 +6,9 @@ one field operation per pair of terms (the library packs them into big
 integers), Sylvester resultants over Z with a Bareiss determinant, and direct valuation computations of conjugate differences
 in explicit number rings.  The height witness is recomputed by the
 cofactor determinant and adjugate over k[[x]]/x^N, a route that shares
-only the series arithmetic with the elimination in wach.  T* is
+only the series arithmetic with the elimination in wach.  The Galois
+containment is recomputed by applying gamma - 1 p^s times, where the
+library squares and multiplies gamma's matrix.  T* is
 recomputed by lifting each of its p^r candidates alone, where the
 solver lifts only a basis of r of them.
 """
@@ -80,6 +82,53 @@ def horner_substitute(k, a, u, top):
         for j, b in power.items():
             out[j] = k.add(out.get(j, 0), k.mul(b, a[e]))
     return {j: c for j, c in out.items() if c}
+
+
+# -- the Galois action by iteration -------------------------------------------
+# Matrices over k[[x]]/x^N as lists of rows of coefficient dicts; the
+# columns are vectors in the basis of the module.
+
+def dict_identity(d):
+    return [[{0: 1} if r == c else {} for c in range(d)] for r in range(d)]
+
+
+def gamma_of(module, X):
+    """G gamma(X): the generator applied to each column of X, as one
+    Horner substitution by u_G itself per entry and a schoolbook product."""
+    k, top = module.params, module.trunc
+    return schoolbook_matmul(
+        k, [[a.coeffs for a in row] for row in module.G],
+        [[horner_substitute(k, a, module.u_g, top) for a in row] for row in X], top)
+
+
+def gamma_minus_one(module, X):
+    """(gamma - 1) applied to each column of X."""
+    k = module.params
+    return [[{e: c for e in m.keys() | a.keys() if (c := k.add(m.get(e, 0), k.neg(a.get(e, 0))))}
+             for m, a in zip(m_row, x_row)] for m_row, x_row in zip(gamma_of(module, X), X)]
+
+
+def gamma_images_by_iteration(module, n):
+    """The matrix of gamma^n: n applications of gamma to Id."""
+    X = dict_identity(module.rank)
+    for _ in range(n):
+        X = gamma_of(module, X)
+    return X
+
+
+def containment_by_iteration(module, s):
+    """(verdict, X) of gamma_power_containment by its definition.
+
+    X is (gamma - 1)^(p^s) applied to Id, one step v -> G gamma(v) - v
+    at a time, p^s steps; the verdict is whether every entry of X has
+    valuation >= p^s.  The library forms gamma^(p^s) - 1 by
+    square-and-multiply on packed series instead.
+    """
+    power = module.params.p**s
+    X = dict_identity(module.rank)
+    for _ in range(power):
+        X = gamma_minus_one(module, X)
+    return all(min(a, default=power) >= power for row in X for a in row), X
 
 
 # -- integer polynomial helpers ----------------------------------------------

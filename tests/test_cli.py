@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from padic_ramlab import cli, wach
+from padic_ramlab import bounds, cli, wach
 from padic_ramlab.cli import main
 
 from .test_cli_golden import cases, load_fixture, run_case
@@ -194,6 +194,25 @@ def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
         cli._parser.cache_clear()
     capsys.readouterr()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "-p", "7", "-i", "5", "--compare"],
+    ["bound", "-p", "7", "-i", "5", "--compare", "--format", "text"],
+    ["verify", "tate-exclusion", "-p", "5"],
+])
+def test_one_bound_call_computes_alpha_once(capsys, monkeypatch, argv):
+    calls = []
+
+    def counting_alpha(p, i):
+        calls.append((p, i))
+        return alpha(p, i)
+
+    alpha = bounds.alpha
+    monkeypatch.setattr(bounds, "alpha", counting_alpha)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_shared_parser_carries_no_state_between_calls():

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from padic_ramlab import wach
 from padic_ramlab.errors import HeightExceeded, RegimeViolation, TruncationTooLow
 from padic_ramlab.gf import FiniteFieldParams
 from padic_ramlab.qring import QPoly, parse_terms
 from padic_ramlab.tiltring import RingSpec, ValuedTrunc
 from padic_ramlab.wach import (
     WachModuleModP,
+    _gamma_power,
     gamma_power_containment,
     make_rank1_module,
     mat_identity,
@@ -24,7 +26,8 @@ from padic_ramlab.wach import (
     verify_gamma,
     verify_height,
 )
-from .oracles import cofactor_height_witness, cofactor_inverse_unit
+from .oracles import (cofactor_height_witness, cofactor_inverse_unit, containment_by_iteration,
+                      gamma_images_by_iteration, gamma_minus_one)
 
 K2 = FiniteFieldParams(2)
 K3 = FiniteFieldParams(3)
@@ -233,19 +236,78 @@ def test_wild_generator_required_for_iterated_containment():
 def test_iterate_step_sends_xj_to_xjplus1():
     # (gamma - 1) maps x^j * (basis span) into x^(j+1) M, per column
     rng = random.Random(43)
-    from padic_ramlab.wach import _gamma_minus_one
     for _ in range(30):
         p = rng.choice([2, 3])
         N = 12
         M = random_module(rng, p, rng.choice([1, 2]), 1, N)
         for j in range(1, 5):
             for col in range(M.rank):
-                vec = tuple((QPoly.monomial(M.params, N, j) if r == col
-                             else QPoly.zero(M.params, N),) for r in range(M.rank))
-                out = _gamma_minus_one(M, vec)
-                for (a,) in out:
-                    v = a.valuation()
-                    assert v is None or v >= j + 1
+                vec = [[{j: 1} if r == col else {}] for r in range(M.rank)]
+                for (a,) in gamma_minus_one(M, vec):
+                    assert min(a, default=N) >= j + 1
+
+
+def _containment_draw(rng):
+    """A random module, or (half the time) one with an arbitrary G that
+    is not Id mod x and an arbitrary unit exponent; and its levels s."""
+    p, f, d, N = rng.choice([2, 3, 5]), rng.choice([1, 2]), rng.randint(1, 3), rng.choice([4, 8, 16])
+    height = rng.choice([h for h in range(3) if (p - 1) * h + 1 < N])
+    M = random_module(rng, p, d, height, N, f=f)
+    if rng.random() < 0.5:
+        k = M.params
+        while True:
+            G = tuple(tuple(QPoly(k, N, {e: rng.randrange(k.order) for e in range(N)
+                                         if rng.random() < 0.4})
+                            for _ in range(d)) for _ in range(d))
+            if any(G[r][c].constant_term() != (r == c) for r in range(d) for c in range(d)):
+                break
+        u = rng.choice([u for u in range(1, 3 * p * p) if u % p])
+        M = dataclasses.replace(M, G=G, u_g=u)
+    levels = [s for s in range(5) if p**s + M.height_exponent < N
+              and (s == 0 or M.u_g % p == 1)]
+    return M, levels
+
+
+def test_containment_matches_iteration_oracle():
+    # gamma^(p^s) - Id by square-and-multiply equals (gamma - 1)^(p^s) Id
+    # applied p^s times, entry by entry, and so does the verdict
+    rng = random.Random(16)
+    verdicts = []
+    for _ in range(300):
+        M, levels = _containment_draw(rng)
+        one = QPoly.one(M.params, M.trunc)
+        for s in levels:
+            expected, X = containment_by_iteration(M, s)
+            got = [[(g - one if r == c else g).coeffs for c, g in enumerate(row)]
+                   for r, row in enumerate(_gamma_power(M, M.params.p**s))]
+            assert got == X, (M, s)
+            verdicts.append(gamma_power_containment(M, s))
+            assert verdicts[-1] == expected, (M, s)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_gamma_power_matches_repeated_gamma_off_powers_of_p():
+    rng = random.Random(17)
+    for _ in range(40):
+        M, _ = _containment_draw(rng)
+        p = M.params.p
+        n = rng.choice([n for n in range(2, 14) if n not in {p**e for e in range(4)}])
+        got = [[g.coeffs for g in row] for row in _gamma_power(M, n)]
+        assert got == gamma_images_by_iteration(M, n), (M, n)
+
+
+@pytest.mark.parametrize("p, s", [(2, 4), (3, 2)])
+def test_containment_takes_logarithmically_many_products(monkeypatch, p, s):
+    # the direct iteration takes p^s products: 16 and 9 here
+    M = random_module(random.Random(p), p, 2, 1, p**s + p + 4)
+    calls = []
+
+    def counted(A, B):
+        calls.append(1)
+        return mat_mul(A, B)
+    monkeypatch.setattr(wach, "mat_mul", counted)
+    assert gamma_power_containment(M, s)
+    assert 0 < len(calls) <= 2 * (p**s).bit_length()
 
 
 def test_specialize_rank1():
