@@ -179,17 +179,15 @@ def cmd_solve(args):
     started = time.perf_counter()
     module = wach.load_module_file(args.module)
     warnings = []
-    if not args.skip_verify:
-        wach.verify_height(module)
-        if module.G is not None:
-            report = wach.verify_gamma(module)
-            if not report.trivial_mod_q1:
-                raise RamlabError(
-                    "module rejected: Galois matrix is not trivial mod (q-1)",
-                    precondition="G = Id mod (q-1)",
-                )
-            if not report.commutes_with_phi:
-                warnings.append("gamma/phi commutation fails at this truncation")
+    if not args.skip_verify and module.G is not None:
+        report = wach.verify_gamma(module)
+        if not report.trivial_mod_q1:
+            raise RamlabError(
+                "module rejected: Galois matrix is not trivial mod (q-1)",
+                precondition="G = Id mod (q-1)",
+            )
+        if not report.commutes_with_phi:
+            warnings.append("gamma/phi commutation fails at this truncation")
     p = module.params.p
     budget = get_budget(args)
     cut = _parse_rational(args.cut, "--cut") if args.cut else None

@@ -366,15 +366,13 @@ class TstarResult:
 
 # -- brute-force oracle -------------------------------------------------------
 
-def enumerate_jc(module, spec, budget, cut=None, witness=None):
-    """Exhaustively list solutions of phi(x) = x F at the given cut.
+def enumerate_jc(module, spec, budget):
+    """Exhaustively list solutions of phi(x) = x F over the ring of spec.
 
     The search space is the full coefficient grid, of size
     (p^f)^(d * (m_max+1)); a BudgetExceeded carrying that number is
     raised when it would exceed the budget.
     """
-    if cut is not None:
-        spec = spec.with_cut(cut)
     d = module.rank
     q = module.params.order
     slots = d * (spec.m_max + 1)
@@ -385,7 +383,7 @@ def enumerate_jc(module, spec, budget, cut=None, witness=None):
             search_space=size,
             budget=budget,
         )
-    F_t, _ = specialize(module, spec, witness=witness)
+    F_t, _ = specialize(module, spec)
     k, top, F = spec.params, spec.m_max + 1, _dicts(spec, F_t)
     coords = [{m: c for m, c in enumerate(digits) if c}
               for digits in product(range(q), repeat=top)]
@@ -583,10 +581,11 @@ def _candidate_space(spec, params, F, budget):
     column is the defect of that unit vector at the full cut, read at
     each monomial of valuation <= a and split into digits; the candidates
     are the kernel.  Its p^r elements are checked against the budget.
-    F is the dict matrix at the cut; returned are the r kernel basis
-    rows and the p^r (coordinates in that basis, candidate) pairs, all
-    dict rows, sorted by candidate in the order of PhiVector._key (the
-    order of enumerate_jc, which decides whose lift error is raised).
+    F is the dict matrix at the cut or at a higher one; returned are the
+    r kernel basis rows and the p^r (coordinates in that basis,
+    candidate) pairs, all dict rows, sorted by candidate in the order of
+    PhiVector._key (the order of enumerate_jc, which decides whose lift
+    error is raised).
     """
     k = spec.params
     p, f, d = k.p, k.f, len(F)
@@ -626,6 +625,11 @@ def compute_tstar(module, spec, budget, params=None):
     theirs.  Each is checked on dict rows: zero defect at the cut,
     reduction at b equal to its candidate, p^r distinct solutions.  Only
     the sorted solutions are wrapped as PhiVectors.
+
+    The module is specialized once, at the working ring of the lift.
+    Its F also serves the candidate search and the final check at the
+    caller's cut: the engine drops every index at or above that cut's
+    top, so the products there are those of F at the cut.
     """
     if params is None:
         params = SolverParams.for_spec(module.params.p, module.height, spec)
@@ -634,12 +638,11 @@ def compute_tstar(module, spec, budget, params=None):
     if module.rank == 0:
         empty = PhiVector(spec, ())
         return TstarResult(solutions=(empty,), rank=0, lifts=(), params=params, spec=spec)
-    F = _dicts(spec, specialize(module, spec, witness=witness)[0])
+    spec_int = params.working_spec(spec)
+    F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int, witness=witness))
     basis, candidates = _candidate_space(spec, params, F, budget)
     rank = len(basis)
-    spec_int = params.working_spec(spec)
-    F_int, V_int = (_dicts(spec_int, M) for M in specialize(module, spec_int, witness=witness))
-    lifted = _contract(spec, params, F_int, V_int, basis, [c for c, _ in candidates])
+    lifted = _contract(spec, params, F, V, basis, [c for c, _ in candidates])
     rows = [x for x, _ in lifted]
     last_b = params.index_bounds(spec.denominator)[1]
     for (_, x0), x, defect in zip(candidates, rows,
@@ -687,22 +690,18 @@ def galois_act_jc(module, vec, power=1):
     """
     if power < 0:
         raise ValueError("power must be >= 0")
-    for _ in range(power):
-        vec = _galois_generator_step(module, vec)
-    return vec
-
-
-def _galois_generator_step(module, vec):
+    if power == 0:
+        return vec
     if module.G is None:
         raise ValueError("module carries no Galois generator matrix")
-    spec = vec.spec
-    u = module.u_g
+    spec, u = vec.spec, module.u_g
     T = exponent_modulus(module.params.p, module.trunc)
     u_inv = pow(u, -1, T) if T > 1 else 1
-    G_inv = mat_inverse_unit(module.G)
-    H_t = mat_map(lambda e: embed_twisted(gamma_q(e, u_inv), spec), G_inv)
-    (moved,) = mat_mul((vec.entries,), H_t)
-    return PhiVector(spec, tuple(galois_act(e, u) for e in moved))
+    H_t = mat_map(lambda e: embed_twisted(gamma_q(e, u_inv), spec), mat_inverse_unit(module.G))
+    for _ in range(power):
+        (moved,) = mat_mul((vec.entries,), H_t)
+        vec = PhiVector(spec, tuple(galois_act(e, u) for e in moved))
+    return vec
 
 
 def character_of(tstar, u):

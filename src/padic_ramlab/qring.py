@@ -70,6 +70,8 @@ __all__ = [
 # -- the series engine ------------------------------------------------------
 # Inputs and results are coefficient dicts already reduced into k, with
 # zeros dropped and every index in [0, top); results are fresh dicts.
+# series_mul, series_matmul and series_frobenius also take operands with
+# indices >= top: those terms reach only indices >= top, which are dropped.
 
 # Slot widths (bytes) that memoryview.cast reads natively; on a little-endian
 # host the bytes of a packed int are then its slots in order.  Other widths,
@@ -446,9 +448,6 @@ class QPoly:
     def valuation(self):
         """x-adic valuation, or None for the zero element."""
         return min(self.coeffs) if self.coeffs else None
-
-    def degree(self):
-        return max(self.coeffs) if self.coeffs else None
 
     def _check(self, other):
         try:

@@ -359,12 +359,14 @@ def lift_each_candidate(module, spec, budget, params):
 
     Shares the kernel and the one-row contraction_lift with the library:
     it checks how compute_tstar forms p^r solutions from r batched lifts.
-    Each candidate, a dict row, enters contraction_lift as a PhiVector
-    over the ring of spec.
+    The kernel is read from F at the working ring, as compute_tstar reads
+    it.  Each candidate, a dict row, enters contraction_lift as a
+    PhiVector over the ring of spec.
     """
     witness = verify_height(module)
-    F_t, _ = specialize(module, spec, witness=witness)
-    basis, candidates = _candidate_space(spec, params, _dicts(spec, F_t), budget)
+    spec_int = params.working_spec(spec)
+    F_t, _ = specialize(module, spec_int, witness=witness)
+    basis, candidates = _candidate_space(spec, params, _dicts(spec_int, F_t), budget)
     lifts = [contraction_lift(module, spec, _wrap(spec, x), params=params, witness=witness)
              for _, x in candidates]
     return len(basis), sorted(lifts, key=lambda lifted: lifted.solution._key())

@@ -5,7 +5,7 @@ import pytest
 from padic_ramlab import bounds, cli, wach
 from padic_ramlab.cli import main
 
-from .test_cli_golden import cases, load_fixture, run_case
+from .test_cli_golden import ROOT, cases, load_fixture, run_case
 
 
 def run(capsys, *argv):
@@ -250,3 +250,29 @@ def test_solve_module_file_contract(tmp_path, capsys, doc, precondition):
         code, out, err = run(capsys, "solve", str(path), "--depth", "1", *extra)
         assert code == 2 and not out
         assert precondition in err and "Traceback" not in err
+
+
+def test_solve_eliminates_F_once(capsys, monkeypatch):
+    calls = []
+    eliminate = wach._eliminate
+
+    def counted(A):
+        calls.append(A)
+        return eliminate(A)
+    monkeypatch.setattr(wach, "_eliminate", counted)
+    code, _, _ = run(capsys, "solve", str(ROOT / "demos/modules/rank1_p3_i1.json"),
+                     "--depth", "1")
+    assert code == 0 and len(calls) == 1
+
+
+def test_solve_height_failure_is_reported_with_and_without_skip_verify(tmp_path, capsys):
+    # F = x^3 at p = 3, i = 1: the elementary divisor x^3 is above x^((p-1)i) = x^2
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps({"p": 3, "N": 12, "d": 1, "i": 1, "F": [["x^3"]]}))
+    errors = set()
+    for extra in ([], ["--skip-verify"]):
+        code, out, err = run(capsys, "solve", str(path), "--depth", "1", *extra)
+        assert code == 2 and not out
+        errors.add(err)
+    (err,) = errors
+    assert err == "error: height > 1: elementary divisor x^3 does not divide x^2\n"

@@ -10,6 +10,7 @@ import pytest
 from padic_ramlab import frobsolve
 from padic_ramlab.errors import (
     BudgetExceeded,
+    CapacityExceeded,
     PrecisionTooLow,
     RamlabError,
     RankError,
@@ -278,6 +279,28 @@ def test_tstar_galois_stable():
         assert {galois_act_jc(module, v, power) for v in sols} == sols
 
 
+def test_galois_power_builds_the_twist_once(monkeypatch):
+    module = random_module(random.Random(5), 3, 2, 1, 12, f=2)
+    spec = RingSpec(module.params, "tilt", 1, 3)
+    vec = PhiVector(spec, (ValuedTrunc(spec, {0: 1, 1: 5, 4: 2}), ValuedTrunc(spec, {2: 7})))
+    once = vec
+    for _ in range(3):
+        once = galois_act_jc(module, once, 1)
+    calls = collections.Counter()
+    inverse = frobsolve.mat_inverse_unit
+
+    def counted(A):
+        calls["mat_inverse_unit"] += 1
+        return inverse(A)
+    monkeypatch.setattr(frobsolve, "mat_inverse_unit", counted)
+    assert galois_act_jc(module, vec, 3) == once != vec
+    assert calls["mat_inverse_unit"] == 1
+    bare = make_rank1_module(3, 1)
+    assert bare.G is None and galois_act_jc(bare, vec, 0) is vec
+    with pytest.raises(ValueError, match="no Galois generator"):
+        galois_act_jc(bare, vec)
+
+
 def test_galois_action_is_by_character_value():
     # generator with exponent u acts on the height-i line by u^i mod p
     for p, i, u in ((3, 1, 2), (3, 2, 2), (5, 1, 2), (5, 2, 3)):
@@ -518,7 +541,7 @@ def test_batched_lift_matches_one_lift_per_candidate():
     assert seen["tilt", "StructureViolation"] >= 3, seen
 
 
-def test_tstar_specializes_twice_and_iterates_once_per_basis_step(monkeypatch):
+def test_tstar_specializes_once_and_iterates_once_per_basis_step(monkeypatch):
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -539,11 +562,20 @@ def test_tstar_specializes_twice_and_iterates_once_per_basis_step(monkeypatch):
         calls.clear()
         out = compute_tstar(module, spec, budget=10**6, params=params)
         assert out.rank == rank and len(out) == module.params.p ** rank
-        assert calls["specialize"] <= 2
+        assert calls["specialize"] == 1
         # one batched iterate per step of the slowest solution, not per solution
         iterations = [lifted.iterations for lifted in out.lifts]
         assert calls["_contraction_step"] == max(iterations)
     assert max(iterations) < sum(iterations)
+
+
+def test_tstar_capacity_error_names_the_working_cut():
+    # N = 7 determines the image below 7/2 in tilt depth 1 at p = 3: the
+    # caller's cut 5/2 is in reach, the working cut 5/2 + i = 7/2 is not
+    module = make_rank1_module(3, 1, trunc=7)
+    spec = RingSpec(K3, "tilt", 1, Fraction(5, 2))
+    with pytest.raises(CapacityExceeded, match="below valuation 7/2, but the target cut is 7/2"):
+        compute_tstar(module, spec, budget=10**6)
 
 
 def test_batched_lift_iterates_without_the_view_layer(monkeypatch):

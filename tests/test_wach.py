@@ -336,6 +336,14 @@ def test_specialize_untilted_twists_coefficients():
     assert F_u[0][0] == ValuedTrunc.constant(unt, k4.frobenius_pow(w, -1))
 
 
+def test_module_file_coefficients_are_read_mod_p():
+    F = module_from_dict({"p": 3, "N": 8, "d": 1, "i": 1, "F": [["5*x^2"]]}).F
+    assert F == ((QPoly.monomial(FiniteFieldParams(3), 8, 2, 2),),)
+    k9 = FiniteFieldParams(3, 2)
+    F = module_from_dict({"p": 3, "f": 2, "N": 8, "d": 1, "i": 1, "F": [["(4,5)*x^2"]]}).F
+    assert {e: k9.digits(c) for e, c in F[0][0].coeffs.items()} == {2: [1, 2]}
+
+
 def test_module_file_round_trip():
     rng = random.Random(47)
     for _ in range(10):
