@@ -47,8 +47,7 @@ from .gf import FiniteFieldParams
 from .qring import (exponent_modulus, gamma_q, series_add, series_frobenius, series_matmul,
                     series_neg, series_scale)
 from .tiltring import RingSpec, ValuedTrunc, galois_act
-from .wach import (embed_twisted, mat_inverse_unit, mat_map, mat_mul, specialize,
-                   verify_height)
+from .wach import embed_twisted, mat_inverse_unit, mat_map, mat_mul, specialize
 
 __all__ = [
     "SolverParams",
@@ -205,14 +204,6 @@ class SolverParams:
             raise PrecisionTooLow(
                 f"defect valuation {v} does not exceed a{self._units} = {self.defect_floor}",
                 precondition=f"val({phi} - x0 F) > a{self._units}",
-            )
-
-    def check_correction(self, corr):
-        """Raise unless the correction valuation corr exceeds b (scaled)."""
-        if corr != math.inf and corr <= self.correction_floor:
-            raise StructureViolation(
-                f"correction valuation {corr} not above b{self._units} = "
-                f"{self.correction_floor}"
             )
 
     def working_spec(self, spec):
@@ -408,8 +399,6 @@ def contraction_lift(module, spec, x0, params=None, witness=None):
     if params is None:
         params = SolverParams.for_spec(module.params.p, module.height, spec)
     params.check_ring(spec)
-    if witness is None:
-        witness = verify_height(module)
     spec_int = params.working_spec(spec)
     F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int, witness=witness))
     (start,) = _dicts(spec, [x0.entries])
@@ -513,7 +502,9 @@ def _contract(spec, params, F, V, starts, combos):
                 if m == math.inf:
                     y = _truncate(correction_of(combos[n]), last)
                     if (corr := _index(y)) <= correction_floor:
-                        params.check_correction(valuation(corr))
+                        raise StructureViolation(
+                            f"correction valuation {valuation(corr)} not above "
+                            f"b{params._units} = {params.correction_floor}")
                     lifted[n] = (_row_add(k, _truncate(start_of(combos[n]), last), y),
                                  tuple(map(valuation, t)))
                 elif len(t) > (cap := -((t[0] * d1 - n1) * d2 // (d1 * n2)) + 8):
@@ -630,16 +621,15 @@ def compute_tstar(module, spec, budget, params=None):
     Its F also serves the candidate search and the final check at the
     caller's cut: the engine drops every index at or above that cut's
     top, so the products there are those of F at the cut.
+
+    Every rank takes this one path.  At d = 0 the kernel is empty, r = 0,
+    and the one candidate, the zero vector, lifts with transcript (inf,).
     """
     if params is None:
         params = SolverParams.for_spec(module.params.p, module.height, spec)
     params.check_ring(spec)
-    witness = verify_height(module)
-    if module.rank == 0:
-        empty = PhiVector(spec, ())
-        return TstarResult(solutions=(empty,), rank=0, lifts=(), params=params, spec=spec)
     spec_int = params.working_spec(spec)
-    F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int, witness=witness))
+    F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int))
     basis, candidates = _candidate_space(spec, params, F, budget)
     rank = len(basis)
     lifted = _contract(spec, params, F, V, basis, [c for c, _ in candidates])

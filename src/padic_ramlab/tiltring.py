@@ -70,10 +70,6 @@ class RingSpec:
                 "untilted cut must be < 1 so that p = 0 and the ring is a k-algebra"
             )
 
-    @property
-    def p(self):
-        return self.params.p
-
     # Cached in the instance dict: the fields alone still define == and hash.
     @functools.cached_property
     def denominator(self):

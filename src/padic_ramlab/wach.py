@@ -31,6 +31,7 @@ from typing import Optional
 
 from . import qring, tiltring
 from .errors import (
+    CapacityExceeded,
     HeightExceeded,
     RamlabError,
     RegimeViolation,
@@ -335,13 +336,8 @@ def verify_gamma(module):
     """
     if module.G is None:
         raise ValueError("module carries no Galois generator matrix")
-    d = module.rank
-    N = module.trunc
-    ident = mat_identity(module.params, N, d)
-    trivial = all(
-        module.G[i][j].constant_term() == ident[i][j].constant_term()
-        for i in range(d) for j in range(d)
-    )
+    trivial = all(g.constant_term() == (1 if i == j else 0)
+                  for i, row in enumerate(module.G) for j, g in enumerate(row))
     gamma_F = mat_map(lambda a: gamma_q(a, module.u_g), module.F)
     phi_G = mat_map(frobenius_q, module.G)
     lhs = mat_mul(module.G, gamma_F)
@@ -421,11 +417,21 @@ def specialize(module, spec, witness=None):
 
     Entries go through embed_twisted.  The identity
     F_t V_t = (image of q-1)^((p-1)i) is re-asserted at the target cut.
+    V is certified only to N - max(sum h_j, (p-1)i); a cut beyond its
+    reach raises a CapacityExceeded that names N and that truncation.
     """
     if witness is None:
         witness = verify_height(module)
     F_t = mat_map(lambda a: embed_twisted(a, spec), module.F)
-    V_t = mat_map(lambda a: embed_twisted(a, spec), witness.V)
+    try:
+        V_t = mat_map(lambda a: embed_twisted(a, spec), witness.V)
+    except CapacityExceeded:
+        raise CapacityExceeded(
+            f"module truncation N={module.trunc} certifies the height witness V only to "
+            f"truncation {witness.slack} = N - max(sum h_j, (p-1)i), which does not "
+            f"determine its image up to the target cut {spec.cut}",
+            precondition="(N - max(sum h_j, (p-1)i)) * val(image of q-1) > cut",
+        ) from None
     target_idx = module.height_exponent * spec.embed_exponent
     zero = tiltring.ValuedTrunc.zero(spec)
     target = tiltring.ValuedTrunc(spec, {target_idx: 1}) if target_idx <= spec.m_max else zero
@@ -461,13 +467,13 @@ def standard_rank1_gamma(params, trunc, i, u):
     return g
 
 
-def random_module(rng, p, rank, height, trunc, f=1, u=None):
+def random_module(rng, p, rank, height, trunc, f=1):
     """A random module passing verification, for randomized checks.
 
     F = L diag(x^(h_1), .., x^(h_d)) U with unit-triangular L, U and
     h_j <= (p-1)*height, so the claimed height bound holds.  G is
     Id + x * (random matrix), trivial mod (q-1) by construction; the
-    generator exponent defaults to a random element of 1 + pZ so the
+    generator exponent u_G is always a random element of 1 + pZ, so the
     iterated containment bounds apply.
     """
     params = FiniteFieldParams(p, f)
@@ -505,9 +511,8 @@ def random_module(rng, p, rank, height, trunc, f=1, u=None):
         tuple(ident[r][c] + rand_poly(min_exp=1) for c in range(d))
         for r in range(d)
     )
-    u_g = u if u is not None else 1 + p * rng.randint(1, 4)
     return WachModuleModP(params=params, trunc=trunc, rank=d, height=height,
-                          F=F, G=G, u_g=u_g)
+                          F=F, G=G, u_g=1 + p * rng.randint(1, 4))
 
 
 def make_rank1_module(p, i, f=1, trunc=None, with_gamma=False, u=None):

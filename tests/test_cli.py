@@ -143,6 +143,26 @@ def test_verify_suites_pass(capsys):
     assert code == 0
 
 
+def test_verify_text_format_prints_one_line_per_check(capsys):
+    code, out, _ = run(capsys, "verify", "tate-exclusion", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3 and all(line.startswith("[PASS] ") for line in lines)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("solve", str(ROOT / "demos/modules/rank1_p3_i1.json"), "--mode", "untilted"),
+     "untilted mode needs --level"),
+    (("grid", "--plist", "2,4"), "4 in --plist is not prime"),
+    (("herbrand", "cyclotomic", "-p", "3"), "cyclotomic needs -p and -n"),
+    (("herbrand", "kummer-tate"), "kummer-tate needs -p"),
+    (("herbrand", "file"), "family 'file' needs --path"),
+])
+def test_missing_or_bad_argument_exits_2_with_its_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_emits_items(capsys):
     code, out, _ = run(capsys, "verify", "tate-exclusion", "-p", "7")
     doc = parse(out)
@@ -276,3 +296,23 @@ def test_solve_height_failure_is_reported_with_and_without_skip_verify(tmp_path,
         errors.add(err)
     (err,) = errors
     assert err == "error: height > 1: elementary divisor x^3 does not divide x^2\n"
+
+
+def test_solve_rank0_prints_the_transcript_of_its_one_solution(tmp_path, capsys):
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps({"p": 3, "N": 8, "d": 0, "i": 1, "F": []}))
+    code, out, _ = run(capsys, "solve", str(path), "--depth", "1", "--trace")
+    assert code == 0
+    results = parse(out)["results"]
+    assert (results["cardinality"], results["rank"], results["solutions"]) == (1, 0, ["()"])
+    assert results["transcripts"] == [["inf"]]
+
+
+def test_capacity_error_names_the_module_and_the_witness_truncation(tmp_path, capsys):
+    # F = x^2 at p = 3, i = 1, N = 9 embeds at the working cut 4 (depth 1),
+    # but V is certified only to N - max(sum h_j, (p-1)i) = 9 - 2 = 7
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"p": 3, "f": 1, "N": 9, "d": 1, "i": 1, "F": [["1*x^2"]]}))
+    code, out, err = run(capsys, "solve", str(path), "--depth", "1", "--cut", "3")
+    assert code == 2 and not out
+    assert "N=9" in err and "truncation 7 " in err and "target cut 4" in err

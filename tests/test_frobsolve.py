@@ -578,6 +578,17 @@ def test_tstar_capacity_error_names_the_working_cut():
         compute_tstar(module, spec, budget=10**6)
 
 
+def test_tstar_rank0_lifts_the_zero_vector():
+    # the one path at d = 0: an empty kernel, r = 0, one zero candidate
+    module = WachModuleModP(params=K3, trunc=8, rank=0, height=1, F=())
+    spec = RingSpec(K3, "tilt", 1, Fraction(5, 2))
+    result = compute_tstar(module, spec, budget=10**6)
+    assert result.rank == 0
+    assert result.solutions == (PhiVector(spec, ()),)
+    (lift,) = result.lifts
+    assert lift.solution == result.solutions[0] and lift.transcript == (math.inf,)
+
+
 def test_batched_lift_iterates_without_the_view_layer(monkeypatch):
     # the rank-2 draw above at three cuts: 1, 2 and 3 batched iterates
     calls, inside = collections.Counter(), []

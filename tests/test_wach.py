@@ -58,6 +58,14 @@ def test_height_exceeded():
         verify_height(Mz)
 
 
+def test_height_needs_truncation_above_the_height_exponent():
+    # (p-1)i = 4 at p = 3, i = 2: N = 4 is too low
+    M = mk(K3, 4, 1, 2, ((QPoly.one(K3, 4),),))
+    with pytest.raises(TruncationTooLow) as exc:
+        verify_height(M)
+    assert exc.value.precondition == "N > (p-1)i"
+
+
 def test_height_d2_adjugate_example():
     x2 = QPoly.monomial(K3, 12, 2)
     zero = QPoly.zero(K3, 12)
