@@ -192,7 +192,7 @@ def cmd_solve(args):
     budget = get_budget(args)
     cut = _parse_rational(args.cut, "--cut") if args.cut else None
     if args.mode == "tilt":
-        probe = tiltring.RingSpec(module.params, tiltring.TILT, args.depth or 2, Fraction(1))
+        probe = tiltring.RingSpec(module.params, tiltring.TILT, args.depth, Fraction(1))
     elif args.level is None:
         raise RamlabError("untilted mode needs --level")
     else:
@@ -209,7 +209,7 @@ def cmd_solve(args):
         "solutions": [v.to_text() for v in tstar.solutions],
     }
     if tstar.rank == 1:
-        u = args.character_base or primitive_root(p)
+        u = primitive_root(p) if args.character_base is None else args.character_base
         results["character_base"] = u
         results["character_exponent"] = frobsolve.character_of(tstar, u)
     if args.trace:
@@ -239,7 +239,7 @@ def cmd_solve(args):
 # -- verify -------------------------------------------------------------------
 
 def _suite_tate_exclusion(args):
-    p = args.p or 3
+    p = 3 if args.p is None else args.p
     report = bounds.tate_exclusion(p)
     data = ramify.kummer_tate_breaks(p)
     mu_val = ramify.mu(data)
@@ -254,8 +254,9 @@ def _suite_tate_exclusion(args):
 
 
 def _suite_approx1(args):
-    p = args.p or 2
-    i = args.i or 1
+    p = 2 if args.p is None else args.p
+    i = 1 if args.i is None else args.i
+    bounds._check_args(p, i)
     budget = get_budget(args)
     module = wach.make_rank1_module(p, i)
     probe = tiltring.RingSpec(module.params, tiltring.TILT, 1, Fraction(1))
@@ -278,8 +279,8 @@ def _suite_approx1(args):
 
 
 def _suite_gamma_power(args):
-    p = args.p or 2
-    count = args.count or 25
+    p = 2 if args.p is None else args.p
+    count = 25 if args.count is None else args.count
     rng = random.Random(args.seed or 0)
     trunc = 16
     failures = 0
@@ -299,8 +300,8 @@ def _suite_gamma_power(args):
 
 
 def _suite_bounds_grid(args):
-    pmax = args.pmax or 13
-    imax = args.imax or 50
+    pmax = 13 if args.pmax is None else args.pmax
+    imax = 50 if args.imax is None else args.imax
     p_list = [p for p in range(2, pmax + 1) if is_prime(p)]
     rows = bounds.bound_grid(p_list, imax)
     bad = [r for r in rows if r["crystalline"] > r["semistable"]]
@@ -365,7 +366,7 @@ def build_parser():
     s = sub.add_parser("solve", help="solve phi(x) = x F for a module file")
     s.add_argument("module", help="path to a module JSON file")
     s.add_argument("--mode", choices=["tilt", "untilted"], default="tilt")
-    s.add_argument("--depth", type=int, help="tilt depth N (default 2)")
+    s.add_argument("--depth", type=int, default=2, help="tilt depth N (default 2)")
     s.add_argument("--level", type=int, help="untilted level s")
     s.add_argument("--cut", help="ring cut as a rational, e.g. 7/2")
     s.add_argument("--budget")

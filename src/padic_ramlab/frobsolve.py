@@ -40,13 +40,12 @@ from itertools import product
 from typing import Optional
 
 from . import tiltring
-from .errors import (BudgetExceeded, NonCharacter, NoConvergenceWithinCut, NotDivisible,
-                     ParamMismatch, PrecisionTooLow, RankError, RegimeViolation,
-                     StructureViolation)
+from .errors import (BudgetExceeded, NonCharacter, NoConvergenceWithinCut, ParamMismatch,
+                     PrecisionTooLow, RankError, RegimeViolation, StructureViolation)
 from .gf import FiniteFieldParams
 from .qring import (exponent_modulus, gamma_q, series_add, series_frobenius, series_matmul,
                     series_neg, series_scale)
-from .tiltring import RingSpec, ValuedTrunc, galois_act
+from .tiltring import RingSpec, ValuedTrunc, _divide, galois_act
 from .wach import embed_twisted, mat_inverse_unit, mat_map, mat_mul, specialize
 
 __all__ = [
@@ -250,15 +249,10 @@ class PhiVector:
     def scale(self, c):
         return PhiVector(self.spec, tuple(a.scale(c) for a in self.entries))
 
-    def with_cut(self, cut):
-        entries = tuple(e.with_cut(cut) for e in self.entries)
-        spec = entries[0].spec if entries else self.spec.with_cut(cut)
-        return PhiVector(spec, entries)
-
     def reduce_to(self, cut):
         if Fraction(cut) > self.spec.cut:
             raise ValueError("reduce_to cannot raise the cut")
-        return self.with_cut(cut)
+        return PhiVector(self.spec.with_cut(cut), tuple(e.with_cut(cut) for e in self.entries))
 
     def _key(self):
         return (self.spec, tuple(e._key() for e in self.entries))
@@ -328,7 +322,6 @@ def _defect_rows(k, X, F, top):
 @dataclass(frozen=True)
 class JcSet:
     spec: RingSpec
-    cut: Fraction
     elements: tuple
 
     def __len__(self):
@@ -380,12 +373,23 @@ def enumerate_jc(module, spec, budget):
               for digits in product(range(q), repeat=top)]
     found = sorted((x for x in product(coords, repeat=d)
                     if not any(_defect_rows(k, [x], F, top)[0])), key=_row_key)
-    return JcSet(spec=spec, cut=spec.cut, elements=tuple(_wrap(spec, x) for x in found))
+    return JcSet(spec=spec, elements=tuple(_wrap(spec, x) for x in found))
 
 
 # -- contraction lifting ------------------------------------------------------
 
-def contraction_lift(module, spec, x0, params=None, witness=None):
+def _lift_setup(module, spec, params):
+    """params (the defaults of spec if None) checked against the ring of
+    spec, its working ring, and the module's dict F, V specialized there."""
+    if params is None:
+        params = SolverParams.for_spec(module.params.p, module.height, spec)
+    params.check_ring(spec)
+    spec_int = params.working_spec(spec)
+    F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int))
+    return params, spec_int, F, V
+
+
+def contraction_lift(module, spec, x0, params=None):
     """Lift an approximate solution to the exact one, in either ring.
 
     Returns the unique solution congruent to x0 above valuation b, as a
@@ -393,14 +397,11 @@ def contraction_lift(module, spec, x0, params=None, witness=None):
     The iteration (the one-row case of _contract) runs in the ring of
     SolverParams.working_spec; the result is reduced back and is the
     exact truncation of the true solution.  Untilted, this needs p^s > a.
+    The height witness is computed inside, by specialize.
     """
     if x0.spec != spec:
         raise ParamMismatch("x0 does not live in the given ring")
-    if params is None:
-        params = SolverParams.for_spec(module.params.p, module.height, spec)
-    params.check_ring(spec)
-    spec_int = params.working_spec(spec)
-    F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int, witness=witness))
+    params, spec_int, F, V = _lift_setup(module, spec, params)
     (start,) = _dicts(spec, [x0.entries])
     m = _index(_defect_rows(spec.params, [start], F, spec_int.m_max + 1)[0])
     input_defect = math.inf if m == math.inf else spec.monomial_val(m)
@@ -412,13 +413,6 @@ def contraction_lift(module, spec, x0, params=None, witness=None):
     ((row, transcript),) = _contract(spec, params, F, V, [start], [(1,)])
     return LiftResult(solution=_wrap(spec, row), transcript=transcript,
                       iterations=len(transcript) - 1, input_defect=input_defect)
-
-
-def _divide(a, j):
-    """Exact division of a dict by u^j, j >= 0, at unchanged cut."""
-    if a and (v := min(a)) < j:
-        raise NotDivisible(f"monomial u^{v} not divisible by u^{j}")
-    return {m - j: c for m, c in a.items()} if j else a
 
 
 def _contraction_step(k, Q, Y, V, top, shift):
@@ -523,11 +517,11 @@ def _contract(spec, params, F, V, starts, combos):
     return [lifted[n] for n in range(len(combos))]
 
 
-def contraction_lift_untilted(module, spec, x0, params=None, witness=None):
+def contraction_lift_untilted(module, spec, x0, params=None):
     """contraction_lift for an untilted ring O_E / (val > cut); rejects a tilt ring."""
     if SolverParams.level_of(spec) is None:
         raise RegimeViolation("contraction_lift_untilted expects an untilted ring")
-    return contraction_lift(module, spec, x0, params=params, witness=witness)
+    return contraction_lift(module, spec, x0, params=params)
 
 
 # -- the full pipeline --------------------------------------------------------
@@ -625,11 +619,7 @@ def compute_tstar(module, spec, budget, params=None):
     Every rank takes this one path.  At d = 0 the kernel is empty, r = 0,
     and the one candidate, the zero vector, lifts with transcript (inf,).
     """
-    if params is None:
-        params = SolverParams.for_spec(module.params.p, module.height, spec)
-    params.check_ring(spec)
-    spec_int = params.working_spec(spec)
-    F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int))
+    params, _, F, V = _lift_setup(module, spec, params)
     basis, candidates = _candidate_space(spec, params, F, budget)
     rank = len(basis)
     lifted = _contract(spec, params, F, V, basis, [c for c, _ in candidates])
@@ -716,20 +706,18 @@ def character_of(tstar, u):
     if p == 2:
         return 0  # the group F_2^x is trivial
     x = min((x for x in solutions if not x.is_zero()), key=PhiVector._key)
-    v = x.val()
-    g = PhiVector(spec, tuple(galois_act(e, u) for e in x.entries))
-    if g.val() != v:
+    row = tuple(e.coeffs for e in x.entries)
+    g = tuple(galois_act(e, u).coeffs for e in x.entries)
+    m = _index(row)  # the leading band: the monomials of index m
+    if _index(g) != m:
         raise NonCharacter("Galois image has different valuation")
     k = spec.params
-    lead = []
-    for xe, ge in zip(x.entries, g.entries):
-        for m, c in xe.coeffs.items():
-            if spec.monomial_val(m) == v:
-                lead.append((c, ge.coeffs.get(m, 0)))
-        for m, c in ge.coeffs.items():
-            if spec.monomial_val(m) == v and m not in xe.coeffs:
-                raise NonCharacter("leading band of image not proportional")
-    ratios = {k.mul(gc, k.inv(c)) for c, gc in lead}
+    ratios = set()
+    for xe, ge in zip(row, g):
+        if m in xe:
+            ratios.add(k.mul(ge.get(m, 0), k.inv(xe[m])))
+        elif m in ge:
+            raise NonCharacter("leading band of image not proportional")
     if len(ratios) > 1:
         raise NonCharacter("leading-coefficient ratio is not constant")
     ratio = ratios.pop() if ratios else None

@@ -28,21 +28,20 @@ def is_prime(n):
     return True
 
 
-def _poly_mulmod(a, b, modulus, p):
-    # a, b, modulus: coefficient lists (little-endian), modulus monic.
+def _monic(code, p, d):
+    """The monic polynomial of degree d whose lower coefficients are the base-p digits of code."""
+    return [code // p**j % p for j in range(d)] + [1]
+
+
+def _poly_rem(a, modulus, p):
+    """The remainder of a mod the monic modulus (deg(modulus) coefficients); reduces a in place."""
     f = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for k in range(len(out) - 1, f - 1, -1):
-        c = out[k]
+    for k in range(len(a) - 1, f - 1, -1):
+        c = a[k]
         if c:
-            out[k] = 0
             for j in range(f):
-                out[k - f + j] = (out[k - f + j] - c * modulus[j]) % p
-    return out[:f]
+                a[k - f + j] = (a[k - f + j] - c * modulus[j]) % p
+    return a[:f]
 
 
 def _poly_is_irreducible(poly, p):
@@ -50,21 +49,7 @@ def _poly_is_irreducible(poly, p):
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
         for code in range(p**d):
-            div = [0] * (d + 1)
-            n = code
-            for j in range(d):
-                div[j] = n % p
-                n //= p
-            div[d] = 1
-            # long division remainder of poly by div
-            rem = list(poly)
-            for k in range(deg, d - 1, -1):
-                c = rem[k]
-                if c:
-                    rem[k] = 0
-                    for j in range(d):
-                        rem[k - d + j] = (rem[k - d + j] - c * div[j]) % p
-            if not any(rem[:d]):
+            if not any(_poly_rem(list(poly), _monic(code, p, d), p)):
                 return False
     return True
 
@@ -73,12 +58,7 @@ def _poly_is_irreducible(poly, p):
 def _field_modulus(p, f):
     """Lexicographically first monic irreducible of degree f over F_p."""
     for code in range(p**f):
-        poly = [0] * (f + 1)
-        n = code
-        for j in range(f):
-            poly[j] = n % p
-            n //= p
-        poly[f] = 1
+        poly = _monic(code, p, f)
         if _poly_is_irreducible(poly, p):
             return tuple(poly)
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -157,8 +137,13 @@ class FiniteFieldParams:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        prod = _poly_mulmod(self.digits(a), self.digits(b), list(self.modulus), self.p)
-        return self.encode(prod)
+        p, x, y = self.p, self.digits(a), self.digits(b)
+        prod = [0] * (2 * self.f - 1)  # the schoolbook product of the digit polynomials
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    prod[i + j] = (prod[i + j] + xi * yj) % p
+        return self.encode(_poly_rem(prod, self.modulus, p))
 
     def pow(self, a, n):
         if self.f == 1:

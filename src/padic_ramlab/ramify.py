@@ -199,28 +199,16 @@ class HerbrandFn:
 def phi_fn(break_data):
     """The transition function of the filtration: slope 1 up to s = 1,
     then |G(s)| / |G(1)| on each break interval."""
-    denom = break_data.order_at(1)
-    critical = [Fraction(1)]
-    for lam, _ in break_data.breaks:
+    # one walk: the order before a break lambda > 1 holds on (t, lambda],
+    # t the previous breakpoint, and the last order gives the final slope
+    denom = order = break_data.order_at(1)
+    pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
+    for lam, after in break_data.breaks:
         if lam > 1:
-            critical.append(lam)
-    critical = sorted(set(critical))
-
-    def slope_between(lo, hi):
-        mid = (lo + hi) / 2
-        if mid <= 1:
-            return Fraction(1)
-        return Fraction(break_data.order_at(mid), denom)
-
-    pts = [(Fraction(0), Fraction(0))]
-    t_prev, v_prev = pts[0]
-    for t in critical:
-        sl = slope_between(t_prev, t)
-        v_prev = v_prev + (t - t_prev) * sl
-        pts.append((t, v_prev))
-        t_prev = t
-    final = slope_between(t_prev, t_prev + 2)
-    return HerbrandFn(tuple(pts), final)
+            t, v = pts[-1]
+            pts.append((lam, v + (lam - t) * Fraction(order, denom)))
+        order = after
+    return HerbrandFn(tuple(pts), Fraction(order, denom))
 
 
 def psi_fn(fn):

@@ -206,15 +206,9 @@ class ValuedTrunc:
         would bring down from above the cut) is silently absent; callers
         that need certified precision must work at an inflated cut.
         """
-        if j == 0:
-            return self
-        if any(m < j for m in self.coeffs):
-            v = min(self.coeffs)
-            raise NotDivisible(f"monomial u^{v} not divisible by u^{j}")
-        shifted = {m - j: c for m, c in self.coeffs.items()}
-        if j < 0:  # indices may rise past m_max: check them
-            return ValuedTrunc(self.spec, shifted)
-        return ValuedTrunc._new(self.spec, shifted)
+        if j < 0:  # a multiplication: indices may rise past m_max, check them
+            return ValuedTrunc(self.spec, {m - j: c for m, c in self.coeffs.items()})
+        return ValuedTrunc._new(self.spec, _divide(self.coeffs, j))
 
     def with_cut(self, cut):
         """Reinterpret at a different cut, keeping stored monomials.
@@ -258,6 +252,13 @@ def val(a):
     if not a.coeffs:
         return math.inf
     return a.spec.monomial_val(min(a.coeffs))
+
+
+def _divide(a, j):
+    """Exact division of a coefficient dict by u^j, j >= 0, at unchanged cut."""
+    if a and (v := min(a)) < j:
+        raise NotDivisible(f"monomial u^{v} not divisible by u^{j}")
+    return {m - j: c for m, c in a.items()} if j else a
 
 
 def frobenius(a):

@@ -412,16 +412,16 @@ def embed_twisted(a, spec):
     return tiltring.embed_q(a, spec)
 
 
-def specialize(module, spec, witness=None):
-    """Push (F, V) into the valued ring given by spec.
+def specialize(module, spec):
+    """Push (F, V) into the valued ring given by spec; the height witness
+    V is computed inside, by verify_height.
 
     Entries go through embed_twisted.  The identity
     F_t V_t = (image of q-1)^((p-1)i) is re-asserted at the target cut.
     V is certified only to N - max(sum h_j, (p-1)i); a cut beyond its
     reach raises a CapacityExceeded that names N and that truncation.
     """
-    if witness is None:
-        witness = verify_height(module)
+    witness = verify_height(module)
     F_t = mat_map(lambda a: embed_twisted(a, spec), module.F)
     try:
         V_t = mat_map(lambda a: embed_twisted(a, spec), witness.V)

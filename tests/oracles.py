@@ -4,7 +4,8 @@ These recompute expected values by routes disjoint from the library:
 dense polynomial arithmetic, the series product and Galois substitution
 one field operation per pair of terms (the library packs them into big
 integers), Sylvester resultants over Z with a Bareiss determinant, and direct valuation computations of conjugate differences
-in explicit number rings.  The height witness is recomputed by the
+in explicit number rings, and the Herbrand function as a piecewise sum
+of the integral that defines it.  The height witness is recomputed by the
 cofactor determinant and adjugate over k[[x]]/x^N, a route that shares
 only the series arithmetic with the elimination in wach.  The Galois
 containment is recomputed by applying gamma - 1 p^s times, where the
@@ -19,7 +20,7 @@ from fractions import Fraction
 from padic_ramlab.errors import HeightExceeded, NotDivisible, TruncationTooLow
 from padic_ramlab.frobsolve import _candidate_space, _dicts, _wrap, contraction_lift
 from padic_ramlab.qring import invert_unit, try_divide
-from padic_ramlab.wach import mat_adjugate, mat_det, specialize, verify_height
+from padic_ramlab.wach import mat_adjugate, mat_det, specialize
 
 
 # -- dense polynomial arithmetic over F_p (schoolbook) -----------------------
@@ -251,6 +252,26 @@ def breaks_from_valuations(total_order, vals):
     return pairs
 
 
+def herbrand_integral(data, t):
+    """phi(t) = integral_0^t |G(s)|/|G(1)| ds, with slope 1 on [0, 1].
+
+    Sums the integral piece by piece, cutting [0, t] at 1 and at each
+    break; on each piece the order is read at its midpoint, by a scan of
+    the break list of its own (the orders of the breaks below s)."""
+    def order(s):
+        below = [o for lam, o in data.breaks if lam < s]
+        return below[-1] if below else data.total_order
+
+    t = Fraction(t)
+    cuts = sorted({Fraction(0), t} | {c for c in [Fraction(1)] + [lam for lam, _ in data.breaks]
+                                      if c < t})
+    value = Fraction(0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        value += (hi - lo) * (1 if mid <= 1 else Fraction(order(mid), order(1)))
+    return value
+
+
 # -- Kummer-Tate filtration oracle -------------------------------------------
 
 def kummer_tate_conjugate_valuations(p):
@@ -363,10 +384,9 @@ def lift_each_candidate(module, spec, budget, params):
     it.  Each candidate, a dict row, enters contraction_lift as a
     PhiVector over the ring of spec.
     """
-    witness = verify_height(module)
     spec_int = params.working_spec(spec)
-    F_t, _ = specialize(module, spec_int, witness=witness)
+    F_t, _ = specialize(module, spec_int)
     basis, candidates = _candidate_space(spec, params, _dicts(spec_int, F_t), budget)
-    lifts = [contraction_lift(module, spec, _wrap(spec, x), params=params, witness=witness)
+    lifts = [contraction_lift(module, spec, _wrap(spec, x), params=params)
              for _, x in candidates]
     return len(basis), sorted(lifts, key=lambda lifted: lifted.solution._key())

@@ -316,3 +316,20 @@ def test_capacity_error_names_the_module_and_the_witness_truncation(tmp_path, ca
     code, out, err = run(capsys, "solve", str(path), "--depth", "1", "--cut", "3")
     assert code == 2 and not out
     assert "N=9" in err and "truncation 7 " in err and "target cut 4" in err
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (("solve", str(ROOT / "demos/modules/rank1_p3_i1.json"), "--depth", "0"), 2,
+     "tilt depth must be >= 1"),
+    (("solve", str(ROOT / "demos/modules/rank1_p3_i1.json"), "--character-base", "0"), 2,
+     "gcd(u, p) = 1"),
+    (("verify", "tate-exclusion", "-p", "0"), 2, "need an odd prime, got 0"),
+    (("verify", "approx1", "-p", "0"), 2, "p = 0 is not prime"),
+    (("verify", "approx1", "-i", "0"), 2, "i >= 1"),
+    (("verify", "gamma-power", "--count", "0"), 0, "on 0 random modules (0 cases)"),
+    (("verify", "bounds-grid", "--pmax", "0"), 0, "on 0 rows"),
+])
+def test_explicit_zero_is_read_as_a_value(capsys, argv, code, message):
+    got, out, err = run(capsys, *argv, "--format", "text")
+    assert got == code
+    assert message in (out if code == 0 else err)

@@ -339,6 +339,26 @@ def test_character_needs_rank_one():
         character_of(out.solutions[:1], 2)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_character_is_u_to_the_leading_index(p):
+    # gamma_u sends c t^m to c u^m t^m plus higher terms, so the leading
+    # ratio is u^m, m the least index of the least nonzero solution
+    for i in range(4):
+        module = make_rank1_module(p, i)
+        for depth in (1, 2):
+            probe = RingSpec(module.params, "tilt", depth, 1)
+            params = SolverParams.for_spec(p, i, probe)
+            out = compute_tstar(module, probe.with_cut(params.working_floor), budget=10**6,
+                                params=params)
+            assert out.rank == 1
+            x = min((x for x in out.solutions if any(e.coeffs for e in x.entries)),
+                    key=lambda x: [sorted(e.coeffs.items()) for e in x.entries])
+            m = min(min(e.coeffs) for e in x.entries if e.coeffs)
+            for u in range(2, p):
+                want = next(j for j in range(p - 1) if pow(u, j, p) == pow(u, m, p))
+                assert character_of(out, u) == want, (i, depth, u, m)
+
+
 # -- structural invariants ----------------------------------------------------
 
 def test_jc_reduction_images_shrink_to_tstar():

@@ -18,6 +18,7 @@ from .conftest import random_break_data
 from .oracles import (
     breaks_from_valuations,
     cyclotomic_conjugate_valuations,
+    herbrand_integral,
     kummer_tate_conjugate_valuations,
 )
 
@@ -58,6 +59,20 @@ def test_phi_concavity_and_slopes(rng):
         assert all(s > 0 for s in slopes)
         assert all(s0 >= s1 for s0, s1 in zip(slopes, slopes[1:]))  # concave
         assert slopes[0] == 1  # unit slope through [0, 1]
+
+
+def test_phi_matches_the_integral_oracle(rng):
+    families = [random_break_data(rng) for _ in range(300)]
+    families += [cyclotomic_breaks(p, n) for p in (2, 3, 5, 7) for n in range(1, 5)]
+    families += [kummer_tate_breaks(p) for p in (2, 3, 5, 7)]
+    for data in families:
+        phi = phi_fn(data)
+        end = max([Fraction(1)] + [lam for lam, _ in data.breaks])
+        ts = [t for t, _ in phi.breakpoints] + [lam for lam, _ in data.breaks]
+        ts += [Fraction(rng.randint(0, 400), rng.randint(1, 40)) for _ in range(5)]
+        for t in ts:
+            assert phi.evaluate(t) == herbrand_integral(data, t)
+        assert phi.final_slope == herbrand_integral(data, end + 1) - herbrand_integral(data, end)
 
 
 def test_psi_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_ramlab.errors import CapacityExceeded, NonUnitExponent
+from padic_ramlab.errors import CapacityExceeded, NonUnitExponent, NotDivisible
 from padic_ramlab.gf import FiniteFieldParams
 from padic_ramlab.qring import QPoly, frobenius_q
 from padic_ramlab.tiltring import (
@@ -151,6 +151,18 @@ def test_reduce_to():
     assert out == ValuedTrunc(spec.with_cut(Fraction(1, 2)), {1: 1})
     assert reduce_to(a, spec.cut) == a
     assert reduce_to(ValuedTrunc.zero(spec), 1).is_zero()
+
+
+def test_shift_down_divides_exactly_and_multiplies_for_negative_j():
+    spec = RingSpec(K3, "tilt", 1, 6)  # D = 2, m_max = 12
+    a = ValuedTrunc(spec, {3: 1, 5: 2})
+    assert a.shift_down(2) == ValuedTrunc(spec, {1: 1, 3: 2})
+    assert a.shift_down(0) == a
+    with pytest.raises(NotDivisible, match=r"monomial u\^1 not divisible by u\^2"):
+        ValuedTrunc.uniformizer(spec).shift_down(2)
+    assert a.shift_down(-7) == ValuedTrunc(spec, {10: 1, 12: 2})
+    with pytest.raises(ValueError, match=r"monomial 13 outside \[0, 12\]"):
+        a.shift_down(-8)
 
 
 def test_formality_threshold():
