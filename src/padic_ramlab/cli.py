@@ -61,6 +61,17 @@ def _parse_rational(text, source):
         raise RamlabError(f"{source} {text!r} is not a rational number") from None
 
 
+def _non_negative(text):
+    """An int option that is a count or an upper bound: 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; it must be at least 0")
+    return value
+
+
 def get_budget(args):
     if getattr(args, "budget", None):
         return _parse_budget(args.budget, "--budget")
@@ -349,7 +360,7 @@ def build_parser():
 
     g = sub.add_parser("grid", help="bound table over primes and weights")
     g.add_argument("--plist", default="2,3,5,7,11,13")
-    g.add_argument("--imax", type=int, default=10)
+    g.add_argument("--imax", type=_non_negative, default=10)
     g.add_argument("--format", choices=["json", "csv", "text"], default="json")
     g.set_defaults(func=cmd_grid)
 
@@ -381,10 +392,10 @@ def build_parser():
     v.add_argument("-p", type=int)
     v.add_argument("-i", type=int)
     v.add_argument("--budget")
-    v.add_argument("--count", type=int)
+    v.add_argument("--count", type=_non_negative)
     v.add_argument("--seed", type=int)
-    v.add_argument("--pmax", type=int)
-    v.add_argument("--imax", type=int)
+    v.add_argument("--pmax", type=_non_negative)
+    v.add_argument("--imax", type=_non_negative)
     v.add_argument("--format", choices=["json", "text"], default="json")
     v.set_defaults(func=cmd_verify)
 

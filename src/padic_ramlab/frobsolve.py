@@ -18,12 +18,24 @@ lifts only the r kernel basis vectors, as the rows of one matrix, and
 forms the p^r solutions as their F_p-combinations.  The budget bounds
 the p^r solutions formed.  contraction_lift is the one-row case.
 
-Inside, the solver runs on the series engine of qring: a row is a tuple
-of coefficient dicts, a valuation is a least monomial index m (ring
-valuation m/D), and the thresholds of SolverParams are integers over D
-(index_bounds).  The views (PhiVector, ValuedTrunc) are read once, at
-entry (x0, and F_t, V_t from specialize), and built once, for results
-(solutions, JcSet elements) and error texts.
+Inside, the solver runs on the series engine of qring: a row is a
+sequence of coefficient dicts, a valuation is a least monomial index m
+(ring valuation m/D), and the thresholds of SolverParams are integers
+over D (index_bounds, computed once per denominator).  The views
+(PhiVector, ValuedTrunc) are read once, at entry (x0, and F_t, V_t from
+specialize), and built once, for results (solutions, JcSet elements)
+and error texts.  F and V are PackedMatrix, packed once per slot width
+for every product of the candidate search, the lift and the final check.
+
+The lift does not recompute each defect in full.  The truncated
+product is bilinear and phi is additive below the working top, so for
+a start row x0 with defect Q = phi(x0) - x0 F and a correction y
+
+    phi(x0 + y) - (x0 + y) F = (Q + phi(y)) - y F
+
+exactly, and Q + phi(y) is the row the next step multiplies by V.  An
+iterate is one Frobenius and one add per entry, one fused product for
+the step and one fused C - A B (qring.series_matmul) for the defect.
 
 enumerate_jc is the deliberately brute-force oracle: a full grid scan
 of coefficient vectors against the congruence, guarded by a budget on
@@ -43,8 +55,8 @@ from . import tiltring
 from .errors import (BudgetExceeded, NonCharacter, NoConvergenceWithinCut, ParamMismatch,
                      PrecisionTooLow, RankError, RegimeViolation, StructureViolation)
 from .gf import FiniteFieldParams
-from .qring import (exponent_modulus, gamma_q, series_add, series_frobenius, series_matmul,
-                    series_neg, series_scale)
+from .qring import (PackedMatrix, exponent_modulus, gamma_q, series_add, series_frobenius,
+                    series_matmul, series_scale)
 from .tiltring import RingSpec, ValuedTrunc, _divide, galois_act
 from .wach import embed_twisted, mat_inverse_unit, mat_map, mat_mul, specialize
 
@@ -115,15 +127,23 @@ class SolverParams:
         """Ring valuation of the working cut c_work."""
         return self.c_work * self.ring_scale
 
+    @functools.cached_property
+    def _index_bounds(self):
+        return {}
+
     def index_bounds(self, denominator):
         """The thresholds over monomial indices of a ring of denominator
         D (index m has ring valuation m/D), as integers (defect,
         correction, gain): m/D <= defect_floor iff m <= defect,
         m/D <= correction_floor iff m <= correction, and an index gain g
-        is below h iff g < gain."""
-        D = denominator
-        return (math.floor(self.defect_floor * D), math.floor(self.correction_floor * D),
+        is below h iff g < gain.  Computed once per denominator."""
+        bounds = self._index_bounds.get(denominator)
+        if bounds is None:
+            D = denominator
+            bounds = self._index_bounds[D] = (
+                math.floor(self.defect_floor * D), math.floor(self.correction_floor * D),
                 math.ceil(self.h * D))
+        return bounds
 
     @property
     def restarts_at_b(self):
@@ -313,10 +333,9 @@ def _row_add(k, x, y):
 
 
 def _defect_rows(k, X, F, top):
-    """phi(x) - x F for every dict row x at once: one fused matrix product."""
-    return [tuple(series_add(k, series_frobenius(k, a, top), series_neg(k, b))
-                  for a, b in zip(x, xF))
-            for x, xF in zip(X, series_matmul(k, X, F, top))]
+    """phi(x) - x F for every dict row x at once: one fused C - X F with
+    C = phi(X)."""
+    return series_matmul(k, X, F, top, C=[[series_frobenius(k, a, top) for a in x] for x in X])
 
 
 @dataclass(frozen=True)
@@ -380,12 +399,15 @@ def enumerate_jc(module, spec, budget):
 
 def _lift_setup(module, spec, params):
     """params (the defaults of spec if None) checked against the ring of
-    spec, its working ring, and the module's dict F, V specialized there."""
+    spec, its working ring, and the module's F, V specialized there, as
+    PackedMatrix: every product by them packs their entries once per
+    slot width."""
     if params is None:
         params = SolverParams.for_spec(module.params.p, module.height, spec)
     params.check_ring(spec)
     spec_int = params.working_spec(spec)
-    F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int))
+    F, V = (PackedMatrix(spec.params, _dicts(spec_int, M))
+            for M in specialize(module, spec_int))
     return params, spec_int, F, V
 
 
@@ -403,24 +425,24 @@ def contraction_lift(module, spec, x0, params=None):
         raise ParamMismatch("x0 does not live in the given ring")
     params, spec_int, F, V = _lift_setup(module, spec, params)
     (start,) = _dicts(spec, [x0.entries])
-    m = _index(_defect_rows(spec.params, [start], F, spec_int.m_max + 1)[0])
+    Q = _defect_rows(spec.params, [start], F, spec_int.m_max + 1)
+    m = _index(Q[0])
     input_defect = math.inf if m == math.inf else spec.monomial_val(m)
     params.check_defect(input_defect)
     if params.restarts_at_b:
-        start = _truncate(start, params.index_bounds(spec.denominator)[1])
+        # the restart from the reduction at b has a defect of its own
+        start, Q = _truncate(start, params.index_bounds(spec.denominator)[1]), None
     # _contract checks the correction from start; from x0 it is the same
     # check, since start and x0 agree up to b
-    ((row, transcript),) = _contract(spec, params, F, V, [start], [(1,)])
+    ((row, transcript),) = _contract(spec, params, F, V, [start], [(1,)], Q)
     return LiftResult(solution=_wrap(spec, row), transcript=transcript,
                       iterations=len(transcript) - 1, input_defect=input_defect)
 
 
-def _contraction_step(k, Q, Y, V, top, shift):
+def _contraction_step(k, S, V, top, shift):
     """One iterate y -> (Q + phi(y)) V / u^shift on every dict row at
-    once: one fused matrix product."""
-    sums = [tuple(series_add(k, a, series_frobenius(k, b, top)) for a, b in zip(q, y))
-            for q, y in zip(Q, Y)]
-    return [tuple(_divide(e, shift) for e in row) for row in series_matmul(k, sums, V, top)]
+    once, given the rows S = Q + phi(y): one fused matrix product."""
+    return [tuple(_divide(e, shift) for e in row) for row in series_matmul(k, S, V, top)]
 
 
 def _span(k, rows, d):
@@ -437,17 +459,28 @@ def _span(k, rows, d):
     return combine
 
 
-def _contract(spec, params, F, V, starts, combos):
+def _contract(spec, params, F, V, starts, combos, Q=None):
     """The lifts of the combinations combos (tuples in F_p^r) of the r
     dict rows starts, iterating on the r rows only; F and V are the dict
-    matrices at the working cut.  Returns a (solution row, transcript)
-    pair per combination, in the order of combos.
+    matrices (or PackedMatrix) at the working cut, and Q the defect rows
+    of starts when the caller has them.  Returns a (solution row,
+    transcript) pair per combination, in the order of combos.
 
     The iteration is F_p-linear, so a combination's k-th correction and
     defect are that combination of the rows' ones.  Each combination is
     checked as if lifted alone (defect above a, gain h per iterate, the
     same iteration cap, correction above b); the first in combos whose
     lift fails raises its error.
+
+    The defect is read off the step's own rows.  The truncated product is
+    bilinear and phi is additive below top, so with Q = phi(starts) -
+    starts F the defect of starts + y is, exactly at the working top,
+
+        phi(starts + y) - (starts + y) F = (Q + phi(y)) - y F,
+
+    and S = Q + phi(y) is the row the next step multiplies by V.  Each
+    iterate is one Frobenius and one add per entry (S), one fused product
+    S V (the step) and one fused S - y F (the defect).
 
     Every iterate is engine calls on dict rows, which the callers read
     from views at entry and wrap as views for their results.  A valuation
@@ -470,7 +503,9 @@ def _contract(spec, params, F, V, starts, combos):
             valuations[m] = Fraction(m, D)
         return valuations[m]
 
-    Q = defects = _defect_rows(k, starts, F, top)
+    if Q is None:
+        Q = _defect_rows(k, starts, F, top)
+    defects = S = Q  # y = 0: phi(y) = 0
     Y = [({},) * d] * len(starts)
     start_of = _span(k, starts, d)
     transcripts = [[] for _ in combos]  # defect indices per iterate
@@ -510,8 +545,10 @@ def _contract(spec, params, F, V, starts, combos):
                 failed, failure = n, exc
         active = going
         if active:
-            Y = _contraction_step(k, Q, Y, V, top, shift)
-            defects = _defect_rows(k, [_row_add(k, x, y) for x, y in zip(starts, Y)], F, top)
+            Y = _contraction_step(k, S, V, top, shift)
+            S = [[series_add(k, q, series_frobenius(k, y, top)) for q, y in zip(qs, ys)]
+                 for qs, ys in zip(Q, Y)]
+            defects = series_matmul(k, Y, F, top, C=S)
     if failure is not None:
         raise failure
     return [lifted[n] for n in range(len(combos))]
@@ -574,12 +611,14 @@ def _candidate_space(spec, params, F, budget):
     """
     k = spec.params
     p, f, d = k.p, k.f, len(F)
-    top, last_b, _ = params.index_bounds(spec.denominator)
+    last_a, last_b, _ = params.index_bounds(spec.denominator)
     slots = last_b + 1
     units = [tuple({m: p**t} if jj == j else {} for jj in range(d))
              for j in range(d) for m in range(slots) for t in range(f)]
-    columns = [[c for e in defect for mono in range(top + 1) for c in k.digits(e.get(mono, 0))]
-               for defect in _defect_rows(k, units, F, spec.m_max + 1)]
+    # the columns read the defect up to a only (a < cut), so it is
+    # computed below a + 1
+    columns = [[c for e in defect for mono in range(last_a + 1) for c in k.digits(e.get(mono, 0))]
+               for defect in _defect_rows(k, units, F, last_a + 1)]
     kernel = _kernel_mod_p(zip(*columns), len(columns), p)
     size = p ** len(kernel)
     if size > budget:

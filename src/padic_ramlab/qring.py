@@ -29,7 +29,8 @@ Products are computed on packed integers (Kronecker substitution):
     of x^e w^j for one (e, j).  Unpacking reads the slots (int.to_bytes
     and memoryview.cast for 1-, 2-, 4- and 8-byte slots), folds w^j for
     j >= f through a cached table of w^j mod the field modulus (an
-    F_p-linear map, so no k-multiplication per pair) and reduces mod p.
+    F_p-linear map, so no k-multiplication per pair; see digit planes)
+    and reduces mod p.
   * No carry.  A product slot sums at most min(|a|, |b|) f pairs of
     digits, each at most (p - 1)^2, where |a| is a's number of terms.
     The slot width is the least of 1, 2, 4, 8 bytes (else the exact
@@ -39,6 +40,27 @@ Products are computed on packed integers (Kronecker substitution):
     and its bound gains the inner dimension as a factor.  A matrix with
     only one-term entries is not packed: its products are shifts and
     scales, summed product by product.
+  * Fused C - A B.  series_matmul also returns C - A B with one
+    unpacking per entry: packed(C_ij) + (p - 1) sum_l packed(A_il)
+    packed(B_lj).  -1 = p - 1 mod p, and the fold below is F_p-linear,
+    so the negation is a factor p - 1 before the fold; the slot bound
+    becomes (p - 1)(bound + 1).  A matrix that right-multiplies many
+    times (PackedMatrix: the solver's F and V) reads its term count and
+    largest index once and packs its columns once per slot width
+    (PackedMatrix.left_product); a product of plain dict matrices packs
+    both on every call and builds no object.
+  * Digit planes.  For f > 1, slot j of every index is plane j, read
+    as one strided slice of the unpacked slots.  Unpacking folds the
+    planes j >= f into digit planes 0..f-1 (plane i plus the F_p-digit
+    i of w^j times plane j) and reduces each mod p, one pass per plane.
+  * Field tables.  For f > 1 and p^f <= _TABLE_ORDER = 256, series_add,
+    series_neg, series_scale and _shift_scale read tables built once
+    per field from gf: add[a][b] and mul[a][b] (a row on its first
+    lookup) and neg[a]; _pack writes each coefficient's f slots as one
+    cached bytes entry per slot width.  At the bound, add and mul hold
+    at most 256^2 = 65536 entries each, neg 256 and a digit table
+    256 f w bytes.  A larger field keeps one gf call per term and the
+    divmod digit loop.  gf.mul itself stays the schoolbook product.
   * The substitution t -> (1+t)^u - 1 reads a cached table of the packed
     rows ((1+t)^u - 1)^e, keyed by (p, top, u mod p^T) and built up to
     the largest index substituted so far; their coefficients lie in F_p,
@@ -47,6 +69,7 @@ Products are computed on packed integers (Kronecker substitution):
   * A product with a one-term operand is a shift and a scale.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -96,11 +119,18 @@ def _pack(k, a, off, w):
         for e, c in a.items():
             buf[(e - off) * w] = c
         return int.from_bytes(buf, "little")
+    step = (2 * k.f - 1) * w
+    if _field_tables(k):  # a coefficient's f slots are one table entry
+        digits, width = _digit_bytes(k, w), k.f * w
+        buf = bytearray((max(a) - off) * step + width)
+        for e, c in a.items():
+            at = (e - off) * step
+            buf[at:at + width] = digits[c]
+        return int.from_bytes(buf, "little")
     p, bits = k.p, 8 * w
-    step = (2 * k.f - 1) * bits
     n = 0
     for e, c in a.items():
-        at = (e - off) * step
+        at = (e - off) * step * 8
         while c:
             c, d = divmod(c, p)
             n |= d << at
@@ -133,20 +163,61 @@ def _unpack(k, n, w, total, count, off):
     vals = _slots(n, w, total)
     if f == 1:
         return {e + off: r for e, v in enumerate(vals[:count]) if (r := v % p)}
-    # Index e holds sum_j v_j w^j over 0 <= j <= 2f - 2; fold the digits
-    # j >= f down through w^j mod the field modulus, an F_p-linear map.
+    # Plane j is slot j of every index: its coefficient of w^j, 0 <= j <=
+    # 2f - 2.  Digit plane i is plane i plus, for each j >= f, digit i of
+    # w^j mod the field modulus times plane j (an F_p-linear fold), mod p;
+    # the codes are read off the digit planes by Horner's rule.
     stride = 2 * f - 1
+    end = min(count, total // stride) * stride
+    planes = [vals[j:end:stride] for j in range(stride)]
     fold = _fold_table(k)
-    out = {}
-    for e in range(min(count, total // stride)):
-        group = vals[e * stride:(e + 1) * stride]
-        high = group[f:]
-        c = 0
-        for i in reversed(range(f)):
-            c = c * p + (group[i] + sum(map(operator.mul, high, fold[i]))) % p
-        if c:
-            out[e + off] = c
-    return out
+    code = None
+    for i in reversed(range(f)):
+        digit = planes[i]
+        for plane, c in zip(planes[f:], fold[i]):
+            if c:
+                digit = map(operator.add, digit, map(operator.mul, plane, itertools.repeat(c)))
+        digit = map(operator.mod, digit, itertools.repeat(p))
+        code = digit if code is None else \
+            map(operator.add, map(operator.mul, code, itertools.repeat(p)), digit)
+    return {e + off: c for e, c in enumerate(code) if c}
+
+
+class _Rows(dict):
+    """a -> the row (op(a, b) for b in k) as a tuple, built on its first lookup."""
+
+    def __init__(self, op, order):
+        super().__init__()
+        self.op, self.order = op, order
+
+    def __missing__(self, a):
+        self[a] = row = tuple(map(self.op, itertools.repeat(a, self.order), range(self.order)))
+        return row
+
+
+_Tables = collections.namedtuple("_Tables", "add mul neg")
+
+# The largest field order with tables; each table then has at most
+# _TABLE_ORDER^2 = 65536 entries.
+_TABLE_ORDER = 256
+
+
+@functools.lru_cache(maxsize=None)
+def _field_tables(k):
+    """The tables of a field with f > 1 and p^f <= _TABLE_ORDER, built from
+    gf: add[a][b] and mul[a][b] (rows on first use) and neg[a]; None for
+    every other field."""
+    if k.f == 1 or k.order > _TABLE_ORDER:
+        return None
+    return _Tables(_Rows(k.add, k.order), _Rows(k.mul, k.order),
+                   tuple(map(k.neg, range(k.order))))
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_bytes(k, w):
+    """c -> the f w-byte slots of c's F_p-digits, as bytes, for c in k."""
+    return tuple(b"".join(d.to_bytes(w, "little") for d in k.digits(c))
+                 for c in range(k.order))
 
 
 def series_add(k, a, b):
@@ -158,6 +229,16 @@ def series_add(k, a, b):
         p = k.p
         for e, c in b.items():
             s = (out.get(e, 0) + c) % p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return out
+    tables = _field_tables(k)
+    if tables:
+        add = tables.add
+        for e, c in b.items():
+            s = add[out.get(e, 0)][c]
             if s:
                 out[e] = s
             else:
@@ -177,6 +258,10 @@ def series_neg(k, a):
     if k.f == 1:
         p = k.p
         return {e: p - c for e, c in a.items()}
+    tables = _field_tables(k)
+    if tables:
+        neg = tables.neg
+        return {e: neg[c] for e, c in a.items()}
     return {e: k.neg(c) for e, c in a.items()}
 
 
@@ -188,6 +273,10 @@ def series_scale(k, a, c):
     if k.f == 1:
         p = k.p
         return {e: c0 * c % p for e, c0 in a.items()}
+    tables = _field_tables(k)
+    if tables:
+        row = tables.mul[c]
+        return {e: row[c0] for e, c0 in a.items()}
     return {e: k.mul(c0, c) for e, c0 in a.items()}
 
 
@@ -200,6 +289,10 @@ def _shift_scale(k, a, b, top):
     if k.f == 1:
         p = k.p
         return {e + e0: c * c0 % p for e, c in b.items() if e < limit}
+    tables = _field_tables(k)
+    if tables:
+        row = tables.mul[c0]
+        return {e + e0: row[c] for e, c in b.items() if e < limit}
     return {e + e0: k.mul(c, c0) for e, c in b.items() if e < limit}
 
 
@@ -230,9 +323,75 @@ def _dot(k, row, col, top):
     return out
 
 
-def series_matmul(k, A, B, top):
+def _high(M):
+    """The largest index over the entries of a dict matrix; -1 if all are zero."""
+    return max(map(max, filter(None, itertools.chain(*M))), default=-1)
+
+
+class PackedMatrix:
+    """A dict matrix B that right-multiplies many dict matrices (the
+    solver's F and V): its largest term count and index are read once,
+    and its columns are packed once per slot width."""
+
+    __slots__ = ("k", "rows", "terms", "high", "_by_width")
+
+    def __init__(self, k, rows):
+        self.k, self.rows = k, rows
+        self.terms = max(map(len, itertools.chain(*rows)), default=0)
+        self.high = _high(rows)
+        self._by_width = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def columns(self, w):
+        """The columns, each entry packed at slot width w."""
+        cols = self._by_width.get(w)
+        if cols is None:
+            cols = self._by_width[w] = list(zip(*[[_pack(self.k, b, 0, w) for b in row]
+                                                  for row in self.rows]))
+        return cols
+
+    def left_product(self, A, top, C=None):
+        """A B below top as series_matmul computes it, or C - A B when the
+        dict matrix C is given: packed(C_ij) + (p - 1) sum_l packed(A_il)
+        packed(B_lj), unpacked once.  -1 = p - 1 mod p and the fold is
+        F_p-linear, so the product's slot bound is multiplied by p - 1,
+        and C adds at most p - 1 to a slot."""
+        k, B = self.k, self.rows
+        if not A or not B:
+            return [[] for _ in A] if C is None else [list(row) for row in C]
+        terms = min(max(map(len, itertools.chain(*A))), self.terms)
+        if terms < 2:
+            AB = [[_dot(k, row, col, top) for col in zip(*B)] for row in A]
+            if C is None:
+                return AB
+            return [[series_add(k, c, series_neg(k, ab)) for c, ab in zip(crow, abrow)]
+                    for crow, abrow in zip(C, AB)]
+        bound = len(B) * terms * k.f * (k.p - 1) ** 2
+        span = _high(A) + self.high + 1
+        if C is not None:
+            bound = (k.p - 1) * (bound + 1)
+            span = max(span, _high(C) + 1)
+        w = _slot_bytes(bound)
+        total = span * (2 * k.f - 1)
+        cols = self.columns(w)
+        PA = [[_pack(k, a, 0, w) for a in row] for row in A]
+        if C is None:
+            return [[_unpack(k, sum(map(operator.mul, row, col)), w, total, top, 0)
+                     for col in cols] for row in PA]
+        neg = k.p - 1
+        return [[_unpack(k, _pack(k, c, 0, w) + neg * sum(map(operator.mul, row, col)),
+                         w, total, top, 0)
+                 for c, col in zip(crow, cols)] for row, crow in zip(PA, C)]
+
+
+def series_matmul(k, A, B, top, C=None):
     """The matrix product of dict matrices below top, entry (i, j) one
-    sum over l of packed(A[i][l]) * packed(B[l][j]), unpacked once.
+    sum over l of packed(A[i][l]) * packed(B[l][j]), unpacked once; with
+    a dict matrix C, C - A B.  B may be a PackedMatrix; a product by one,
+    or one with C, is PackedMatrix.left_product.  A plain product builds
+    no object: packing ahead pays only for a matrix that is reused.
 
     Every sum shares one slot width: a slot adds at most n * t * f digit
     products, each at most (p - 1)^2, with n the inner dimension and t the
@@ -243,6 +402,10 @@ def series_matmul(k, A, B, top):
     product by product.  With no rows or no inner dimension the rows are
     empty.
     """
+    if isinstance(B, PackedMatrix):
+        return B.left_product(A, top, C)
+    if C is not None:
+        return PackedMatrix(k, B).left_product(A, top, C)
     if not A or not B:
         return [[] for _ in A]
     terms = min(max(map(len, itertools.chain(*A))), max(map(len, itertools.chain(*B))))

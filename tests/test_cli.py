@@ -333,3 +333,15 @@ def test_explicit_zero_is_read_as_a_value(capsys, argv, code, message):
     got, out, err = run(capsys, *argv, "--format", "text")
     assert got == code
     assert message in (out if code == 0 else err)
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("verify", "gamma-power", "--count", "-3"), "--count"),
+    (("verify", "bounds-grid", "--imax", "-5"), "--imax"),
+    (("verify", "bounds-grid", "--pmax", "-1"), "--pmax"),
+    (("grid", "--imax", "-5"), "--imax"),
+])
+def test_negative_count_or_bound_is_rejected(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert f"argument {option}: " in err and "is negative" in err

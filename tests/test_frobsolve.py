@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from padic_ramlab import frobsolve
+from padic_ramlab import frobsolve, qring
 from padic_ramlab.errors import (
     BudgetExceeded,
     CapacityExceeded,
@@ -737,3 +737,54 @@ def test_budget_bounds_the_solution_space(p, i):
         compute_tstar(module, spec, budget=p - 1, params=params)
     assert err.value.search_space == p and err.value.budget == p - 1
     assert len(compute_tstar(module, spec, budget=p, params=params)) == p
+
+
+# -- work done once per lift or solve -------------------------------------------
+
+def test_contraction_lift_computes_the_start_defect_once(monkeypatch):
+    # an exact rank-1 solution (p = 3, i = 1, depth 1): its defect is zero,
+    # so the lift takes no iterate and the start's defect is all it needs
+    module, spec, params = tilt_setup(3, 1)
+    x = next(x for x in compute_tstar(module, spec, budget=10**6, params=params).solutions
+             if not x.is_zero())
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    real = frobsolve._defect_rows
+    monkeypatch.setattr(frobsolve, "_defect_rows", counted)
+    out = contraction_lift(module, spec, x, params=params)
+    assert out.solution == x and out.transcript == (math.inf,)
+    assert len(calls) == 1
+
+
+def test_one_solve_packs_f_and_v_once_per_slot_width(monkeypatch):
+    # the rank-2 height-0 draw of the tests above, lifted in 3 iterates, f = 1 and 2
+    for f in (1, 2):
+        K = FiniteFieldParams(3, f)
+        module = random_module(random.Random(0), 3, 2, 0, 12, f=f)
+        params = SolverParams.for_tilt(3, 0, RingSpec(K, "tilt", 1, 1))
+        spec = RingSpec(K, "tilt", 1, params.c_work + 4)
+        fixed, packs = [], collections.Counter()
+
+        def setup(*args):
+            out = real_setup(*args)
+            fixed.extend(getattr(M, "rows", M) for M in out[2:])
+            return out
+
+        def pack(k, a, off, w):
+            if fixed:
+                packs[id(a), w] += 1
+            return real_pack(k, a, off, w)
+        real_setup, real_pack = frobsolve._lift_setup, qring._pack
+        monkeypatch.setattr(frobsolve, "_lift_setup", setup)
+        monkeypatch.setattr(qring, "_pack", pack)
+        out = compute_tstar(module, spec, budget=10**6, params=params)
+        monkeypatch.undo()
+        assert max(lift.iterations for lift in out.lifts) == 3
+        entries = collections.Counter(id(e) for M in fixed for row in M for e in row)
+        fixed_packs = {key: n for key, n in packs.items() if key[0] in entries}
+        assert fixed_packs  # the lift multiplies by F and V
+        for (entry, w), n in fixed_packs.items():
+            assert n <= entries[entry], (f, w)
