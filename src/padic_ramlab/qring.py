@@ -46,9 +46,9 @@ Products are computed on packed integers (Kronecker substitution):
     so the negation is a factor p - 1 before the fold; the slot bound
     becomes (p - 1)(bound + 1).  A matrix that right-multiplies many
     times (PackedMatrix: the solver's F and V) reads its term count and
-    largest index once and packs its columns once per slot width
-    (PackedMatrix.left_product); a product of plain dict matrices packs
-    both on every call and builds no object.
+    largest index once and packs its columns once per slot width; a
+    product by a plain dict matrix packs both operands on the call and
+    builds no object.  Both run the same series_matmul body.
   * Digit planes.  For f > 1, slot j of every index is plane j, read
     as one strided slice of the unpacked slots.  Unpacking folds the
     planes j >= f into digit planes 0..f-1 (plane i plus the F_p-digit
@@ -348,77 +348,61 @@ class PackedMatrix:
         """The columns, each entry packed at slot width w."""
         cols = self._by_width.get(w)
         if cols is None:
-            cols = self._by_width[w] = list(zip(*[[_pack(self.k, b, 0, w) for b in row]
-                                                  for row in self.rows]))
+            cols = self._by_width[w] = _packed_columns(self.k, self.rows, w)
         return cols
 
-    def left_product(self, A, top, C=None):
-        """A B below top as series_matmul computes it, or C - A B when the
-        dict matrix C is given: packed(C_ij) + (p - 1) sum_l packed(A_il)
-        packed(B_lj), unpacked once.  -1 = p - 1 mod p and the fold is
-        F_p-linear, so the product's slot bound is multiplied by p - 1,
-        and C adds at most p - 1 to a slot."""
-        k, B = self.k, self.rows
-        if not A or not B:
-            return [[] for _ in A] if C is None else [list(row) for row in C]
-        terms = min(max(map(len, itertools.chain(*A))), self.terms)
-        if terms < 2:
-            AB = [[_dot(k, row, col, top) for col in zip(*B)] for row in A]
-            if C is None:
-                return AB
-            return [[series_add(k, c, series_neg(k, ab)) for c, ab in zip(crow, abrow)]
-                    for crow, abrow in zip(C, AB)]
-        bound = len(B) * terms * k.f * (k.p - 1) ** 2
-        span = _high(A) + self.high + 1
-        if C is not None:
-            bound = (k.p - 1) * (bound + 1)
-            span = max(span, _high(C) + 1)
-        w = _slot_bytes(bound)
-        total = span * (2 * k.f - 1)
-        cols = self.columns(w)
-        PA = [[_pack(k, a, 0, w) for a in row] for row in A]
-        if C is None:
-            return [[_unpack(k, sum(map(operator.mul, row, col)), w, total, top, 0)
-                     for col in cols] for row in PA]
-        neg = k.p - 1
-        return [[_unpack(k, _pack(k, c, 0, w) + neg * sum(map(operator.mul, row, col)),
-                         w, total, top, 0)
-                 for c, col in zip(crow, cols)] for row, crow in zip(PA, C)]
+
+def _packed_columns(k, B, w):
+    return list(zip(*[[_pack(k, b, 0, w) for b in row] for row in B]))
 
 
 def series_matmul(k, A, B, top, C=None):
     """The matrix product of dict matrices below top, entry (i, j) one
     sum over l of packed(A[i][l]) * packed(B[l][j]), unpacked once; with
-    a dict matrix C, C - A B.  B may be a PackedMatrix; a product by one,
-    or one with C, is PackedMatrix.left_product.  A plain product builds
-    no object: packing ahead pays only for a matrix that is reused.
+    a dict matrix C, C - A B, entry (i, j) packed(C[i][j]) + (p - 1)
+    times that sum, unpacked once.  B may be a PackedMatrix, whose
+    columns are packed once per slot width; a plain B is packed on the
+    call and builds no object.
 
     Every sum shares one slot width: a slot adds at most n * t * f digit
     products, each at most (p - 1)^2, with n the inner dimension and t the
-    smaller of the largest term counts of A's and of B's entries.  When
-    one side has only one-term entries (t < 2, e.g. an identity or
-    diagonal matrix), every product is a shift and a scale, cheaper than
-    packing and unpacking the other side's entries, so the sums are taken
-    product by product.  With no rows or no inner dimension the rows are
-    empty.
+    smaller of the largest term counts of A's and of B's entries; with C
+    the bound is (p - 1)(bound + 1).  When one side has only one-term
+    entries (t < 2, e.g. an identity or diagonal matrix), every product
+    is a shift and a scale, cheaper than packing and unpacking the other
+    side's entries, so the sums are taken product by product.  With no
+    rows or no inner dimension the rows are empty (C's rows, with C).
     """
     if isinstance(B, PackedMatrix):
-        return B.left_product(A, top, C)
-    if C is not None:
-        return PackedMatrix(k, B).left_product(A, top, C)
+        columns, terms, high, B = B.columns, B.terms, B.high, B.rows
+    else:
+        columns, high = None, None
+        terms = max(map(len, itertools.chain(*B)), default=0)
     if not A or not B:
-        return [[] for _ in A]
-    terms = min(max(map(len, itertools.chain(*A))), max(map(len, itertools.chain(*B))))
+        return [[] for _ in A] if C is None else [list(row) for row in C]
+    terms = min(max(map(len, itertools.chain(*A))), terms)
     if terms < 2:
-        return [[_dot(k, row, col, top) for col in zip(*B)] for row in A]
-    w = _slot_bytes(len(B) * terms * k.f * (k.p - 1) ** 2)
-    span = max(map(max, filter(None, itertools.chain(*A)))) + \
-        max(map(max, filter(None, itertools.chain(*B)))) + 1
+        AB = [[_dot(k, row, col, top) for col in zip(*B)] for row in A]
+        if C is None:
+            return AB
+        return [[series_add(k, c, series_neg(k, ab)) for c, ab in zip(crow, abrow)]
+                for crow, abrow in zip(C, AB)]
+    bound = len(B) * terms * k.f * (k.p - 1) ** 2
+    span = _high(A) + (_high(B) if high is None else high) + 1
+    if C is not None:
+        bound = (k.p - 1) * (bound + 1)
+        span = max(span, _high(C) + 1)
+    w = _slot_bytes(bound)
     total = span * (2 * k.f - 1)
+    cols = _packed_columns(k, B, w) if columns is None else columns(w)
     PA = [[_pack(k, a, 0, w) for a in row] for row in A]
-    PB = [[_pack(k, b, 0, w) for b in row] for row in B]
-    return [[_unpack(k, sum(map(operator.mul, row, col)), w, total, top, 0)
-             for col in zip(*PB)] for row in PA]
+    if C is None:
+        return [[_unpack(k, sum(map(operator.mul, row, col)), w, total, top, 0)
+                 for col in cols] for row in PA]
+    neg = k.p - 1
+    return [[_unpack(k, _pack(k, c, 0, w) + neg * sum(map(operator.mul, row, col)),
+                     w, total, top, 0)
+             for c, col in zip(crow, cols)] for row, crow in zip(PA, C)]
 
 
 def series_pow(k, a, n, top):
