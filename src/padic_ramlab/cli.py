@@ -73,7 +73,7 @@ def _non_negative(text):
 
 
 def get_budget(args):
-    if getattr(args, "budget", None):
+    if getattr(args, "budget", None) is not None:
         return _parse_budget(args.budget, "--budget")
     env = os.environ.get("PADIC_RAMLAB_BUDGET")
     return _parse_budget(env, "PADIC_RAMLAB_BUDGET") if env else DEFAULT_BUDGET
@@ -201,7 +201,7 @@ def cmd_solve(args):
             warnings.append("gamma/phi commutation fails at this truncation")
     p = module.params.p
     budget = get_budget(args)
-    cut = _parse_rational(args.cut, "--cut") if args.cut else None
+    cut = _parse_rational(args.cut, "--cut") if args.cut is not None else None
     if args.mode == "tilt":
         probe = tiltring.RingSpec(module.params, tiltring.TILT, args.depth, Fraction(1))
     elif args.level is None:

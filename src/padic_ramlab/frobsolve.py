@@ -16,7 +16,8 @@ injectivity cut b are the kernel of one F_p-linear map (Gauss-Jordan
 elimination mod p), and the lift is F_p-linear as well: compute_tstar
 lifts only the r kernel basis vectors, as the rows of one matrix, and
 forms the p^r solutions as their F_p-combinations.  The budget bounds
-the p^r solutions formed.  contraction_lift is the one-row case.
+the p^r solutions formed, KERNEL_CELLS the dense matrix of the kernel.
+contraction_lift is the one-row case.
 
 Inside, the solver runs on the series engine of qring: a row is a
 sequence of coefficient dicts, a valuation is a least monomial index m
@@ -84,17 +85,15 @@ class SolverParams:
 
     c_work and the thresholds a, b are indexed the way the truncation
     ideals are: in tilt mode these are tilted valuations, in untilted
-    mode at level s the ring valuation is c/p^s for index c.  h is the
-    guaranteed defect-valuation gain per iterate, already expressed in
-    the ring's own valuation units.  The solver reads every difference
-    between the modes from here and has one path itself.
+    mode at level s the ring valuation is c/p^s for index c.  The gain h
+    per iterate is derived from c_work.  The solver reads every
+    difference between the modes from here and has one path itself.
     """
 
     p: int
     i: int
     s: Optional[int]  # None marks tilt mode
     c_work: Fraction
-    h: Fraction
 
     # The thresholds are cached in the instance dict: the fields alone
     # still define == and hash.
@@ -106,6 +105,15 @@ class SolverParams:
     @functools.cached_property
     def a(self):
         return Fraction(self.p * self.i, self.p - 1)
+
+    @functools.cached_property
+    def h(self):
+        """The defect-valuation gain per iterate that c_work guarantees, in
+        ring units; positive, since c_work > a (and p^s > a untilted)."""
+        if self.s is None:
+            return self.c_work / self.p - self.b
+        return (min(Fraction(1), (self.p - 1) * (self.c_work - self.i) / self.p**self.s)
+                - Fraction(self.i, self.p**self.s))
 
     @functools.cached_property
     def ring_scale(self):
@@ -162,16 +170,8 @@ class SolverParams:
         """The level s of an untilted ring; None for a tilt ring."""
         return None if spec.mode == tiltring.TILT else spec.level
 
-    @staticmethod
-    def h_max(p, i, s, c_work):
-        """The largest gain per iterate that c_work guarantees, in ring units."""
-        if s is None:
-            return c_work / p - Fraction(i, p - 1)
-        return min(Fraction(1), (p - 1) * (c_work - i) / p**s) - Fraction(i, p**s)
-
     def __post_init__(self):
         object.__setattr__(self, "c_work", Fraction(self.c_work))
-        object.__setattr__(self, "h", Fraction(self.h))
         if self.i < 0:
             raise ValueError("height i must be >= 0")
         if self.s is not None and self.p**self.s <= self.a:
@@ -181,21 +181,15 @@ class SolverParams:
             )
         if self.c_work <= self.a:
             raise ValueError(f"c_work = {self.c_work} must exceed a = {self.a}")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        bound = self.h_max(self.p, self.i, self.s, self.c_work)
-        if self.h > bound:
-            raise ValueError(f"h = {self.h} inconsistent: c_work allows h <= {bound}")
 
     @classmethod
     def for_spec(cls, p, i, spec):
         """Defaults for the ring of spec: c_work two grid steps above a
         in tilt mode (one step plus margin), one ring grid step untilted
-        (index step p^s/D = 1/(p-1)); h as large as c_work allows."""
+        (index step p^s/D = 1/(p-1))."""
         s = cls.level_of(spec)
         step = Fraction(2, spec.denominator) if s is None else Fraction(1, p - 1)
-        c_work = Fraction(p * i, p - 1) + step
-        return cls(p=p, i=i, s=s, c_work=c_work, h=cls.h_max(p, i, s, c_work))
+        return cls(p=p, i=i, s=s, c_work=Fraction(p * i, p - 1) + step)
 
     for_tilt = for_spec  # the name tilt-mode callers use
 
@@ -425,18 +419,20 @@ def contraction_lift(module, spec, x0, params=None):
         raise ParamMismatch("x0 does not live in the given ring")
     params, spec_int, F, V = _lift_setup(module, spec, params)
     (start,) = _dicts(spec, [x0.entries])
-    Q = _defect_rows(spec.params, [start], F, spec_int.m_max + 1)
-    m = _index(Q[0])
-    input_defect = math.inf if m == math.inf else spec.monomial_val(m)
-    params.check_defect(input_defect)
+    input_defect = None  # in tilt mode, the first of the transcript
     if params.restarts_at_b:
-        # the restart from the reduction at b has a defect of its own
-        start, Q = _truncate(start, params.index_bounds(spec.denominator)[1]), None
+        # x0's own defect is checked; the restart from its reduction at b
+        # has a defect of its own
+        m = _index(_defect_rows(spec.params, [start], F, spec_int.m_max + 1)[0])
+        input_defect = math.inf if m == math.inf else spec.monomial_val(m)
+        params.check_defect(input_defect)
+        start = _truncate(start, params.index_bounds(spec.denominator)[1])
     # _contract checks the correction from start; from x0 it is the same
     # check, since start and x0 agree up to b
-    ((row, transcript),) = _contract(spec, params, F, V, [start], [(1,)], Q)
+    ((row, transcript),) = _contract(spec, params, F, V, [start], [((1,), start)])
     return LiftResult(solution=_wrap(spec, row), transcript=transcript,
-                      iterations=len(transcript) - 1, input_defect=input_defect)
+                      iterations=len(transcript) - 1,
+                      input_defect=transcript[0] if input_defect is None else input_defect)
 
 
 def _contraction_step(k, S, V, top, shift):
@@ -459,28 +455,22 @@ def _span(k, rows, d):
     return combine
 
 
-def _contract(spec, params, F, V, starts, combos, Q=None):
-    """The lifts of the combinations combos (tuples in F_p^r) of the r
-    dict rows starts, iterating on the r rows only; F and V are the dict
-    matrices (or PackedMatrix) at the working cut, and Q the defect rows
-    of starts when the caller has them.  Returns a (solution row,
-    transcript) pair per combination, in the order of combos.
+def _contract(spec, params, F, V, basis, candidates):
+    """The lifts of candidates, (c, x0) pairs of coefficients c in F_p^r
+    and start row x0 = sum_j c_j basis[j], over the r dict rows basis; F
+    and V are the dict matrices (or PackedMatrix) at the working cut.
+    Returns a (solution row, transcript) pair per candidate, in order.
 
-    The iteration is F_p-linear, so a combination's k-th correction and
-    defect are that combination of the rows' ones.  Each combination is
-    checked as if lifted alone (defect above a, gain h per iterate, the
-    same iteration cap, correction above b); the first in combos whose
-    lift fails raises its error.
-
-    The defect is read off the step's own rows.  The truncated product is
-    bilinear and phi is additive below top, so with Q = phi(starts) -
-    starts F the defect of starts + y is, exactly at the working top,
-
-        phi(starts + y) - (starts + y) F = (Q + phi(y)) - y F,
-
-    and S = Q + phi(y) is the row the next step multiplies by V.  Each
-    iterate is one Frobenius and one add per entry (S), one fused product
-    S V (the step) and one fused S - y F (the defect).
+    The iteration is F_p-linear, so a candidate's k-th defect and
+    correction are the combination c of the basis rows' ones.  A basis
+    row whose defect is not above a is rejected first; then no
+    combination's is.  Stage 1 iterates the r basis rows and records
+    their (defects, corrections) per iterate, until every defect is zero
+    or the iteration cap of the least start-defect index has passed: a
+    combination's defect index is at least that least one, so its cap is
+    no larger.  Stage 2 reads each candidate off the record, checked as
+    if lifted alone (gain h per iterate, the same cap, correction above
+    b); the first candidate whose lift fails raises its error.
 
     Every iterate is engine calls on dict rows, which the callers read
     from views at entry and wrap as views for their results.  A valuation
@@ -496,62 +486,48 @@ def _contract(spec, params, F, V, starts, combos, Q=None):
     # index m0, over the integers: cut D = n1/d1 and h D = n2/d2
     cut_D, h_D = spec_int.cut * D, params.h * D
     n1, d1, n2, d2 = cut_D.numerator, cut_D.denominator, h_D.numerator, h_D.denominator
-    valuations = {math.inf: math.inf}
+    valuation = functools.cache(lambda m: m if m == math.inf else Fraction(m, D))
 
-    def valuation(m):
-        if m not in valuations:
-            valuations[m] = Fraction(m, D)
-        return valuations[m]
+    def cap(m0):
+        return -((m0 * d1 - n1) * d2 // (d1 * n2)) + 8
 
-    if Q is None:
-        Q = _defect_rows(k, starts, F, top)
+    Q = _defect_rows(k, basis, F, top)
+    least = min(map(_index, Q), default=math.inf)
+    if least <= defect_floor:
+        params.check_defect(valuation(least))
     defects = S = Q  # y = 0: phi(y) = 0
-    Y = [({},) * d] * len(starts)
-    start_of = _span(k, starts, d)
-    transcripts = [[] for _ in combos]  # defect indices per iterate
-    lifted, failed, failure = {}, len(combos), None
-    active = range(len(combos))
-    while active:
-        defect_of, correction_of = _span(k, defects, d), _span(k, Y, d)
-        going = []
-        for n in active:
-            if n >= failed:
-                break
-            t = transcripts[n]
-            m = _index(defect_of(combos[n]))
+    Y = [({},) * d] * len(basis)
+    record = [(defects, Y)]
+    while any(map(any, defects)) and len(record) <= cap(least):
+        Y = _contraction_step(k, S, V, top, shift)
+        S = [[series_add(k, q, series_frobenius(k, y, top)) for q, y in zip(qs, ys)]
+             for qs, ys in zip(Q, Y)]
+        defects = series_matmul(k, Y, F, top, C=S)
+        record.append((defects, Y))
+
+    spans = [(_span(k, defects, d), _span(k, Y, d)) for defects, Y in record]
+    lifted = []
+    for c, x0 in candidates:
+        t = []  # defect indices per iterate
+        for defect_of, correction_of in spans:
+            m = _index(defect_of(c))
+            if t and m - t[-1] < gain:  # never true for m = inf
+                raise StructureViolation(
+                    f"contraction rate violated: defect went {valuation(t[-1])} -> "
+                    f"{valuation(m)}, gain below h = {params.h}")
             t.append(m)
-            try:
-                if len(t) == 1:
-                    if m <= defect_floor:
-                        params.check_defect(valuation(m))
-                elif m - t[-2] < gain:  # never true for m = inf
-                    raise StructureViolation(
-                        f"contraction rate violated: defect went {valuation(t[-2])} -> "
-                        f"{valuation(m)}, gain below h = {params.h}")
-                if m == math.inf:
-                    y = _truncate(correction_of(combos[n]), last)
-                    if (corr := _index(y)) <= correction_floor:
-                        raise StructureViolation(
-                            f"correction valuation {valuation(corr)} not above "
-                            f"b{params._units} = {params.correction_floor}")
-                    lifted[n] = (_row_add(k, _truncate(start_of(combos[n]), last), y),
-                                 tuple(map(valuation, t)))
-                elif len(t) > (cap := -((t[0] * d1 - n1) * d2 // (d1 * n2)) + 8):
-                    raise NoConvergenceWithinCut(
-                        f"defect still nonzero after {cap} iterates at cut {spec_int.cut}")
-                else:
-                    going.append(n)
-            except (PrecisionTooLow, StructureViolation, NoConvergenceWithinCut) as exc:
-                failed, failure = n, exc
-        active = going
-        if active:
-            Y = _contraction_step(k, S, V, top, shift)
-            S = [[series_add(k, q, series_frobenius(k, y, top)) for q, y in zip(qs, ys)]
-                 for qs, ys in zip(Q, Y)]
-            defects = series_matmul(k, Y, F, top, C=S)
-    if failure is not None:
-        raise failure
-    return [lifted[n] for n in range(len(combos))]
+            if m == math.inf:
+                break
+            if len(t) > cap(t[0]):
+                raise NoConvergenceWithinCut(
+                    f"defect still nonzero after {cap(t[0])} iterates at cut {spec_int.cut}")
+        y = _truncate(correction_of(c), last)
+        if (corr := _index(y)) <= correction_floor:
+            raise StructureViolation(
+                f"correction valuation {valuation(corr)} not above "
+                f"b{params._units} = {params.correction_floor}")
+        lifted.append((_row_add(k, x0, y), tuple(map(valuation, t))))
+    return lifted
 
 
 def contraction_lift_untilted(module, spec, x0, params=None):
@@ -562,6 +538,12 @@ def contraction_lift_untilted(module, spec, x0, params=None):
 
 
 # -- the full pipeline --------------------------------------------------------
+
+# The most cells of the dense candidate matrix (unknowns x equations) that
+# _candidate_space eliminates: a tilt depth-8 rank-1 kernel at p = 3
+# (2188 x 6562) fits, depth 9 (6562 x 19684) exhausts 2 GB.
+KERNEL_CELLS = 2 * 10**7
+
 
 def _candidate_cut(spec, params):
     # height 0 (b = 0): only the constant band matters
@@ -602,7 +584,9 @@ def _candidate_space(spec, params, F, budget):
     (j, m, t) is digit t of the coefficient of u^m in entry j.  Its
     column is the defect of that unit vector at the full cut, read at
     each monomial of valuation <= a and split into digits; the candidates
-    are the kernel.  Its p^r elements are checked against the budget.
+    are the kernel.  A matrix of more than KERNEL_CELLS cells is refused
+    before it is built, and the p^r kernel elements are checked against
+    the budget.
     F is the dict matrix at the cut or at a higher one; returned are the
     r kernel basis rows and the p^r (coordinates in that basis,
     candidate) pairs, all dict rows, sorted by candidate in the order of
@@ -613,6 +597,14 @@ def _candidate_space(spec, params, F, budget):
     p, f, d = k.p, k.f, len(F)
     last_a, last_b, _ = params.index_bounds(spec.denominator)
     slots = last_b + 1
+    unknowns, equations = d * slots * f, d * (last_a + 1) * f
+    if unknowns * equations > KERNEL_CELLS:
+        raise BudgetExceeded(
+            f"candidate matrix of {unknowns} unknowns x {equations} equations exceeds "
+            f"the dense kernel bound of {KERNEL_CELLS} cells",
+            search_space=unknowns * equations,
+            budget=KERNEL_CELLS,
+        )
     units = [tuple({m: p**t} if jj == j else {} for jj in range(d))
              for j in range(d) for m in range(slots) for t in range(f)]
     # the columns read the defect up to a only (a < cut), so it is
@@ -661,7 +653,7 @@ def compute_tstar(module, spec, budget, params=None):
     params, _, F, V = _lift_setup(module, spec, params)
     basis, candidates = _candidate_space(spec, params, F, budget)
     rank = len(basis)
-    lifted = _contract(spec, params, F, V, basis, [c for c, _ in candidates])
+    lifted = _contract(spec, params, F, V, basis, candidates)
     rows = [x for x, _ in lifted]
     last_b = params.index_bounds(spec.denominator)[1]
     for (_, x0), x, defect in zip(candidates, rows,

@@ -5,10 +5,12 @@ try: a library name it calls that is gone (SolverParams.for_tilt,
 compute_tstar_untilted, ...) or a result attribute it reads that changed
 kills a benchmark worker and fails the whole run.  This test runs the
 seed-0 round of every workload through the same functions, so such a
-break fails the suite instead.
+break fails the suite instead, and pins what each round returns.
 """
 
+import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -34,14 +36,43 @@ def load_workloads():
 workloads = load_workloads()
 
 
+def canonical(job, output):
+    """A job's output in a form that names every value it returns."""
+    if job.kind == "tstar":
+        return [output.rank, [x.to_text() for x in output.solutions],
+                [[str(v) for v in lift.transcript] for lift in output.lifts]]
+    if job.kind == "module":
+        witness, report, containment = output
+        return [[[e.to_text() for e in row] for row in witness.V], witness.slack,
+                report.trivial_mod_q1, report.commutes_with_phi, containment]
+    return workloads.read(job, output)
+
+
+# What the seed-0 round of every workload returns: the solutions and
+# transcripts of the solver jobs, the witness and flags of the module
+# jobs, the exit code and stdout of the CLI jobs.  A change that keeps
+# the results keeps these.
+OUTPUT_DIGESTS = {
+    "tstar_grid": "ddde6aa1a62d5059b9a153688fe6ac0b8624220f3404467dd008b309101d4a57",
+    "tstar_deep": "4eb2c7136db443be75cf23c90dcfaec1238b951f639b81cc62c2c81b65227ad5",
+    "module_checks": "10a1977dd8336483e15a28ea19010b968c1cb0b191f426d1438d1f2ae6b57fed",
+    "cli_batch": "986734d34113d742952c6dcd5021bf8704ce7af3dc77cc816a177c0e842e9654",
+}
+
+
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_seed0_round_runs_and_checks(workload, tmp_path):
     workloads.warm_up(workload)
     jobs = workloads.build_round(workload, 0, ROOT, tmp_path)
     assert jobs and len(workloads.inputs_digest(jobs)) == 64
+    outputs = []
     for job in jobs:
-        answer = workloads.read(job, workloads.run(job))
+        output = workloads.run(job)
+        answer = workloads.read(job, output)
         assert workloads.check(job, answer) == (True, ""), job.describe()
+        outputs.append(canonical(job, output))
+    text = json.dumps(outputs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == OUTPUT_DIGESTS[workload]
 
 
 def test_known_defect_returns():

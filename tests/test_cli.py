@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from padic_ramlab import bounds, cli, wach
+from padic_ramlab import bounds, cli, frobsolve, wach
 from padic_ramlab.cli import main
 
 from .test_cli_golden import ROOT, cases, load_fixture, run_case
@@ -188,6 +188,28 @@ def test_budget_below_one_is_rejected_by_name(rank1_file, capsys, monkeypatch, b
     code, _, err = run(capsys, "verify", "approx1", "-p", "2", "-i", "1")
     assert code == 2
     assert f"PADIC_RAMLAB_BUDGET {budget!r}" in err
+
+
+@pytest.mark.parametrize("option,message", [
+    ("--budget", "--budget '' is not a finite number"),
+    ("--cut", "--cut '' is not a rational number"),
+])
+def test_explicit_empty_option_is_read_as_a_value(rank1_file, capsys, monkeypatch, option,
+                                                  message):
+    code, out, err = run(capsys, "solve", rank1_file, "--depth", "1", option, "")
+    assert code == 2 and not out and message in err
+    # an empty variable is unset: the default budget applies
+    monkeypatch.setenv("PADIC_RAMLAB_BUDGET", "")
+    assert run(capsys, "solve", rank1_file, "--depth", "1")[0] == 0
+
+
+def test_solve_refuses_a_candidate_kernel_too_large_to_build(capsys):
+    # depth 12: 177148 unknowns x 531442 equations, about 10^11 cells
+    code, out, err = run(capsys, "solve", str(ROOT / "demos/modules/rank1_p3_i1.json"),
+                         "--depth", "12")
+    assert code == 2 and not out
+    assert "177148 unknowns x 531442 equations" in err
+    assert f"bound of {frobsolve.KERNEL_CELLS} cells" in err
 
 
 def test_budget_one_is_accepted(rank1_file, capsys):

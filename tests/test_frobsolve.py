@@ -510,6 +510,19 @@ def test_tstar_raises_the_rate_violation_on_known_defect_draws(seed):
         compute_tstar(module, spec, budget=10**6, params=params)
 
 
+@pytest.mark.xfail(strict=True, reason="the candidates are tested on their zero extension "
+                   "at b, which drops a solution whose digits in (b, a] are not zero")
+def test_tstar_reaches_every_solution_the_grid_oracle_finds():
+    # rank 2, height 1: T* reduces to 2 points at b, the 4 solutions of
+    # the grid scan at c_work to 4
+    module = random_module(random.Random(7), 2, 2, 1, 10)
+    params = SolverParams.for_tilt(2, 1, RingSpec(K2, "tilt", 1, 1))
+    out = compute_tstar(module, RingSpec(K2, "tilt", 1, 5), budget=10**6, params=params)
+    oracle = enumerate_jc(module, RingSpec(K2, "tilt", 1, params.c_work), budget=10**6)
+    assert ({v.reduce_to(params.b) for v in out.solutions}
+            == {v.reduce_to(params.b) for v in oracle.elements})
+
+
 # -- the batched lift against one lift per candidate --------------------------
 
 def random_differential_case(rng):
@@ -704,8 +717,9 @@ def test_lift_with_defect_exactly_at_a_is_too_shallow(p, mode, level, message, p
     # the batched lift's own integer check gives the same error
     spec_int = params.working_spec(spec)
     F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int))
+    (start,) = _dicts(spec, [x0.entries])
     with pytest.raises(PrecisionTooLow) as err:
-        frobsolve._contract(spec, params, F, V, _dicts(spec, [x0.entries]), [(1,)])
+        frobsolve._contract(spec, params, F, V, [start], [((1,), start)])
     assert (str(err.value), err.value.precondition) == (message, precondition)
 
 

@@ -189,13 +189,11 @@ def test_the_cases_are_reachable_when_valid():
     assert len(compute_tstar_untilted(module, spec, BUDGET, params=params)) == 3
 
 
-@pytest.mark.parametrize("i,c_work,h,message", [
-    (-1, Fraction(5, 2), Fraction(1, 3), "height i must be >= 0"),
-    (1, Fraction(3, 2), Fraction(1, 3), "c_work = 3/2 must exceed a = 3/2"),
-    (1, Fraction(5, 2), 0, "h must be positive"),
-    (1, Fraction(5, 2), 1, "h = 1 inconsistent: c_work allows h <= 1/3"),
+@pytest.mark.parametrize("i,c_work,message", [
+    (-1, Fraction(5, 2), "height i must be >= 0"),
+    (1, Fraction(3, 2), "c_work = 3/2 must exceed a = 3/2"),
 ])
-def test_solver_params_reject_an_inconsistent_regime(i, c_work, h, message):
+def test_solver_params_reject_an_inconsistent_regime(i, c_work, message):
     with pytest.raises(ValueError) as exc:
-        SolverParams(p=3, i=i, s=None, c_work=c_work, h=h)
+        SolverParams(p=3, i=i, s=None, c_work=c_work)
     assert str(exc.value) == message
