@@ -50,22 +50,23 @@ Products are computed on packed integers (Kronecker substitution):
     product by a plain dict matrix packs both operands on the call and
     builds no object.  Both run the same series_matmul body.
   * Digit planes.  For f > 1, slot j of every index is plane j, read
-    as one strided slice of the unpacked slots.  Unpacking folds the
-    planes j >= f into digit planes 0..f-1 (plane i plus the F_p-digit
-    i of w^j times plane j) and reduces each mod p, one pass per plane.
+    as one strided slice of the unpacked slots.  _unpack, the one
+    decoder, folds the planes j >= f into digit planes 0..f-1 (plane i
+    plus the F_p-digit i of w^j times plane j) and reduces each mod p.
   * Field tables.  For f > 1 and p^f <= _TABLE_ORDER = 256, series_add,
     series_neg, series_scale and _shift_scale read tables built once
     per field from gf: add[a][b] and mul[a][b] (a row on its first
-    lookup) and neg[a]; _pack writes each coefficient's f slots as one
-    cached bytes entry per slot width.  At the bound, add and mul hold
-    at most 256^2 = 65536 entries each, neg 256 and a digit table
-    256 f w bytes.  A larger field keeps one gf call per term and the
-    divmod digit loop.  gf.mul itself stays the schoolbook product.
-  * The substitution t -> (1+t)^u - 1 reads a cached table of the packed
-    rows ((1+t)^u - 1)^e, keyed by (p, top, u mod p^T) and built up to
-    the largest index substituted so far; their coefficients lie in F_p,
-    so the result is sum_e c_e row_e with one accumulator per F_p-digit
-    of the c_e, bounded by top (p - 1)^2.
+    lookup, at most 256^2 = 65536 entries each) and neg[a]; a larger
+    field keeps one gf call per term there.  gf.mul stays schoolbook.
+    _pack writes a coefficient's f slots as one bytes entry of a digit
+    table per slot width (every field but F_p, p <= 256): all of k up
+    to the bound, above it each coefficient on its first lookup.
+  * The substitution t -> (1+t)^u - 1 reads cached rows ((1+t)^u - 1)^e
+    in the layout over k, keyed by (p, f, top, u mod p^T), built up to the
+    largest index substituted so far.  A row's F_p-coefficients sit in
+    slot 0 of each index, so times the packed digits of c_e it adds
+    digit j of c_e times the row into slot j; the sum over e is bounded
+    by top (p - 1)^2 per slot and decoded by _unpack.
   * A product with a one-term operand is a shift and a scale.
 """
 
@@ -119,23 +120,13 @@ def _pack(k, a, off, w):
         for e, c in a.items():
             buf[(e - off) * w] = c
         return int.from_bytes(buf, "little")
-    step = (2 * k.f - 1) * w
-    if _field_tables(k):  # a coefficient's f slots are one table entry
-        digits, width = _digit_bytes(k, w), k.f * w
-        buf = bytearray((max(a) - off) * step + width)
-        for e, c in a.items():
-            at = (e - off) * step
-            buf[at:at + width] = digits[c]
-        return int.from_bytes(buf, "little")
-    p, bits = k.p, 8 * w
-    n = 0
+    # a coefficient's f slots are one digit-table entry
+    step, width, digits = (2 * k.f - 1) * w, k.f * w, _digit_bytes(k, w)
+    buf = bytearray((max(a) - off) * step + width)
     for e, c in a.items():
-        at = (e - off) * step * 8
-        while c:
-            c, d = divmod(c, p)
-            n |= d << at
-            at += bits
-    return n
+        at = (e - off) * step
+        buf[at:at + width] = digits[c]
+    return int.from_bytes(buf, "little")
 
 
 def _slots(n, w, total):
@@ -183,16 +174,16 @@ def _unpack(k, n, w, total, count, off):
     return {e + off: c for e, c in enumerate(code) if c}
 
 
-class _Rows(dict):
-    """a -> the row (op(a, b) for b in k) as a tuple, built on its first lookup."""
+class _Memo(dict):
+    """key -> fn(key), computed on its first lookup."""
 
-    def __init__(self, op, order):
+    def __init__(self, fn):
         super().__init__()
-        self.op, self.order = op, order
+        self.fn = fn
 
-    def __missing__(self, a):
-        self[a] = row = tuple(map(self.op, itertools.repeat(a, self.order), range(self.order)))
-        return row
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
 
 
 _Tables = collections.namedtuple("_Tables", "add mul neg")
@@ -209,15 +200,20 @@ def _field_tables(k):
     every other field."""
     if k.f == 1 or k.order > _TABLE_ORDER:
         return None
-    return _Tables(_Rows(k.add, k.order), _Rows(k.mul, k.order),
-                   tuple(map(k.neg, range(k.order))))
+    order = range(k.order)
+
+    def rows(op):
+        return _Memo(lambda a: tuple(map(op, itertools.repeat(a, k.order), order)))
+    return _Tables(rows(k.add), rows(k.mul), tuple(map(k.neg, order)))
 
 
 @functools.lru_cache(maxsize=None)
 def _digit_bytes(k, w):
-    """c -> the f w-byte slots of c's F_p-digits, as bytes, for c in k."""
-    return tuple(b"".join(d.to_bytes(w, "little") for d in k.digits(c))
-                 for c in range(k.order))
+    """c -> the f w-byte slots of c's F_p-digits, as bytes: a tuple over k
+    up to order _TABLE_ORDER, above it a table filled on first lookup."""
+    def encode(c):
+        return b"".join(d.to_bytes(w, "little") for d in k.digits(c))
+    return tuple(map(encode, range(k.order))) if k.order <= _TABLE_ORDER else _Memo(encode)
 
 
 def series_add(k, a, b):
@@ -418,21 +414,10 @@ def series_pow(k, a, n, top):
     return result
 
 
-class _PowerTable(dict):
-    """c -> c^p in k, each entry computed on its first lookup."""
-
-    def __init__(self, k):
-        super().__init__()
-        self.k = k
-
-    def __missing__(self, c):
-        self[c] = power = self.k.frobenius(c)
-        return power
-
-
 @functools.lru_cache(maxsize=None)
 def _frobenius_table(k):
-    return _PowerTable(k)
+    """c -> c^p in k, each entry computed on its first lookup."""
+    return _Memo(k.frobenius)
 
 
 def series_frobenius(k, a, top):
@@ -470,16 +455,16 @@ def one_plus_t_pow(p, top, u):
 # (top <= 32; gamma_power_containment adds the exponents u^m) and cli_batch
 # through 9, 28 distinct between them, so 32 entries still hold both.  Inside
 # a round over 99% of module_checks lookups and 88% of cli_batch lookups hit.
-# An entry grows to at most top rows of top slots of w bytes: about 2.9 MB at
-# p = 2, top = 1200.
+# An entry grows to at most top rows of top (2f - 1) slots of w bytes: about
+# 2.9 MB at p = 2, f = 1, top = 1200; rows over f > 1 are 2f - 1 times wider.
 @functools.lru_cache(maxsize=32)
-def _substitution_rows(p, top, u):
+def _substitution_rows(p, f, top, u):
     """upto(n), the list of the rows ((1+t)^u - 1)^e below top for e < n
-    (built on first demand, one product per row), packed one F_p
-    coefficient per slot; and the slot width: top * (p - 1)^2 bounds any
-    sum of the rows with F_p weights.  u is already reduced mod the
+    (built on first demand, one product per row), packed in the engine's
+    layout over F_{p^f}; and the slot width: top * (p - 1)^2 bounds any
+    sum of the rows weighted by F_p-digits.  u is already reduced mod the
     exponent modulus, so equal substitutions share one entry."""
-    k = FiniteFieldParams(p)
+    k, prime = FiniteFieldParams(p, f), FiniteFieldParams(p)  # the rows lie over F_p
     w = _slot_bytes(top * (p - 1) ** 2)
     base = one_plus_t_pow(p, top, u)
     rows, power = [], {0: 1}
@@ -488,7 +473,7 @@ def _substitution_rows(p, top, u):
         nonlocal power
         while len(rows) < n:
             rows.append(_pack(k, power, 0, w))
-            power = series_mul(k, power, base, top)
+            power = series_mul(prime, power, base, top)
         return rows
     return upto, w
 
@@ -502,24 +487,17 @@ def series_substitute(k, a, u, top):
                               precondition="gcd(u, p) = 1")
     if not a:
         return {}
-    upto, w = _substitution_rows(p, top, u % exponent_modulus(p, top))
+    upto, w = _substitution_rows(p, k.f, top, u % exponent_modulus(p, top))
     rows = upto(max(a) + 1)
     if k.f == 1:
-        return _unpack(k, sum(c * rows[e] for e, c in a.items()), w, top, top, 0)
-    # The rows lie over F_p, so F_p-digit j of the result is the row sum
-    # weighted by digit j of a's coefficients: one accumulator per digit,
-    # digit plane j stored in slots [j top, (j + 1) top) of one int.
-    planes = [0] * k.f
-    for e, c in a.items():
-        row, j = rows[e], 0
-        while c:
-            c, d = divmod(c, p)
-            planes[j] += d * row
-            j += 1
-    vals = _slots(sum(plane << (8 * w * top * j) for j, plane in enumerate(planes)),
-                  w, k.f * top)
-    digits = zip(*(vals[j * top:(j + 1) * top] for j in range(k.f)))
-    return {m: c for m, ds in enumerate(digits) if (c := k.encode(ds))}
+        n = sum(c * rows[e] for e, c in a.items())
+    else:
+        # A row holds F_p-coefficients in slot 0 of each index, so its
+        # product by the packed digits of c adds the row into slot j of
+        # each index, weighted by digit j of c.
+        digits = _digit_bytes(k, w)
+        n = sum(int.from_bytes(digits[c], "little") * rows[e] for e, c in a.items())
+    return _unpack(k, n, w, top * (2 * k.f - 1), top, 0)
 
 
 def series_terms(k, a, letter):

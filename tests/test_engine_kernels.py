@@ -19,6 +19,7 @@ from padic_ramlab.gf import FiniteFieldParams
 from padic_ramlab.qring import (_TABLE_ORDER, PackedMatrix, _field_tables, _pack, _shift_scale,
                                 _unpack, series_add, series_frobenius, series_matmul,
                                 series_neg, series_scale)
+from padic_ramlab.qring import _digit_bytes
 from padic_ramlab.tiltring import RingSpec
 from padic_ramlab.wach import random_module
 from .oracles import schoolbook_matmul, schoolbook_mul
@@ -98,6 +99,19 @@ def test_tables_have_the_stated_size_bound():
             assert all(len(row) == k.order for row in rows.values())
             assert sum(map(len, rows.values())) <= _TABLE_ORDER ** 2
         assert tables.add[3 % k.order][k.order - 1] == k.add(3 % k.order, k.order - 1)
+
+
+def test_digit_table_above_the_bound_holds_only_what_was_packed():
+    _digit_bytes.cache_clear()  # a fresh table per (field, width)
+    for k in LARGE_FIELDS + [FiniteFieldParams(257)]:
+        packed = set()
+        for a in ({0: 5, 3: k.order - 1}, {1: 5, 2: 6, 7: k.order // 2}):
+            _pack(k, a, 0, 2)
+            packed |= set(a.values())
+            assert sorted(_digit_bytes(k, 2)) == sorted(packed), k
+        assert _digit_bytes(k, 1) == {}  # another width, another table
+    for k in TABLE_FIELDS:  # at or below the bound: all of k at once
+        assert len(_digit_bytes(k, 2)) == k.order
 
 
 # -- fused C - A B and packed-once matrices -------------------------------------

@@ -315,6 +315,22 @@ def test_table_substitution_matches_horner(data):
     assert series_substitute(k, a, u + k.p * modulus, top) == got
 
 
+# every packing route of the substitution: f > 1 below and above the
+# table bound, and F_p above it (the digit table filled on first lookup)
+PACKED_FIELDS = [(2, 2), (5, 2), (2, 9), (17, 2), (7, 3), (257, 1)]
+
+
+@pytest.mark.parametrize("p,f", PACKED_FIELDS)
+@hypothesis.settings(**dict(SETTINGS, max_examples=20))
+@given(st.data())
+def test_substitution_matches_horner_on_each_packed_field(p, f, data):
+    k = FiniteFieldParams(p, f)
+    top = data.draw(st.integers(1, 24))
+    a = data.draw(operands(k, top))
+    u = data.draw(st.integers(1, 400).filter(lambda u: u % p))
+    assert series_substitute(k, a, u, top) == horner_substitute(k, a, u, top)
+
+
 def test_substitution_rejects_non_units_before_the_table():
     k = FiniteFieldParams(3, 2)
     before = _substitution_rows.cache_info()
@@ -332,7 +348,7 @@ def test_substitution_table_grows_on_demand():
     top, u = 53, 5
     a, b = {0: 1, 2: 5}, {1: 2, 40: 7}
     assert series_substitute(k, a, u, top) == horner_substitute(k, a, u, top)
-    upto, _ = _substitution_rows(k.p, top, u % exponent_modulus(k.p, top))
+    upto, _ = _substitution_rows(k.p, k.f, top, u % exponent_modulus(k.p, top))
     assert len(upto(0)) == 3
     assert series_substitute(k, b, u, top) == horner_substitute(k, b, u, top)
     assert len(upto(0)) == 41

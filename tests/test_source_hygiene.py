@@ -61,3 +61,10 @@ def test_every_private_definition_is_referenced(path):
     for source in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
         referenced |= _references(_tree(source))
     assert sorted(private - referenced) == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(ROOT / "src")))
+def test_every_source_file_parses_at_the_declared_python_floor(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
