@@ -54,19 +54,14 @@ Products are computed on packed integers (Kronecker substitution):
     decoder, folds the planes j >= f into digit planes 0..f-1 (plane i
     plus the F_p-digit i of w^j times plane j) and reduces each mod p.
   * Field tables.  For f > 1 and p^f <= _TABLE_ORDER = 256, series_add,
-    series_neg, series_scale and _shift_scale read tables built once
-    per field from gf: add[a][b] and mul[a][b] (a row on its first
-    lookup, at most 256^2 = 65536 entries each) and neg[a]; a larger
-    field keeps one gf call per term there.  gf.mul stays schoolbook.
-    _pack writes a coefficient's f slots as one bytes entry of a digit
-    table per slot width (every field but F_p, p <= 256): all of k up
-    to the bound, above it each coefficient on its first lookup.
-  * The substitution t -> (1+t)^u - 1 reads cached rows ((1+t)^u - 1)^e
-    in the layout over k, keyed by (p, f, top, u mod p^T), built up to the
-    largest index substituted so far.  A row's F_p-coefficients sit in
-    slot 0 of each index, so times the packed digits of c_e it adds
-    digit j of c_e times the row into slot j; the sum over e is bounded
-    by top (p - 1)^2 per slot and decoded by _unpack.
+    series_neg, series_scale and _shift_scale read add[a][b], mul[a][b]
+    (rows on first lookup, at most 65536 entries each) and neg[a], built
+    once per field from gf, and _pack reads the bytes of c's slots from
+    a tuple over k; a larger field calls gf per term.  gf.mul stays the
+    schoolbook product.
+  * The substitution t -> (1+t)^u - 1 sums c_e times the cached F_p rows
+    ((1+t)^u - 1)^e, keyed by (p, top, u mod p^T): one sum per F_p-digit
+    of the c_e, each a digit plane that _unpack decodes.
   * A product with a one-term operand is a shift and a scale.
 """
 
@@ -120,22 +115,13 @@ def _pack(k, a, off, w):
         for e, c in a.items():
             buf[(e - off) * w] = c
         return int.from_bytes(buf, "little")
-    # a coefficient's f slots are one digit-table entry
+    # a coefficient's f slots are one bytes string of its digits
     step, width, digits = (2 * k.f - 1) * w, k.f * w, _digit_bytes(k, w)
     buf = bytearray((max(a) - off) * step + width)
     for e, c in a.items():
         at = (e - off) * step
-        buf[at:at + width] = digits[c]
+        buf[at:at + width] = digits(c)
     return int.from_bytes(buf, "little")
-
-
-def _slots(n, w, total):
-    """The total w-byte slots of n (n < 2^(8 w total)) as a sequence."""
-    code = _CODES.get(w)
-    if code:
-        return memoryview(n.to_bytes(total * w, "little")).cast(code)
-    mask = (1 << 8 * w) - 1
-    return [(n >> (8 * w * s)) & mask for s in range(total)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,20 +133,28 @@ def _fold_table(k):
     return tuple(tuple(d[i] for d in powers) for i in range(f))
 
 
-def _unpack(k, n, w, total, count, off):
+def _unpack(k, n, w, total, count, off, planar=False):
     """The dict of a packed product n of total slots: the first count
-    indices, reduced into k, index e stored at e + off."""
-    p, f = k.p, k.f
-    vals = _slots(n, w, total)
+    indices, reduced into k, index e stored at e + off.  planar: n holds
+    digit plane j in slots [j count, (j + 1) count) instead, for j < f."""
+    p, f, native = k.p, k.f, _CODES.get(w)
+    if native:  # the total w-byte slots of n (n < 2^(8 w total))
+        vals = memoryview(n.to_bytes(total * w, "little")).cast(native)
+    else:
+        mask = (1 << 8 * w) - 1
+        vals = [(n >> (8 * w * s)) & mask for s in range(total)]
     if f == 1:
         return {e + off: r for e, v in enumerate(vals[:count]) if (r := v % p)}
     # Plane j is slot j of every index: its coefficient of w^j, 0 <= j <=
     # 2f - 2.  Digit plane i is plane i plus, for each j >= f, digit i of
     # w^j mod the field modulus times plane j (an F_p-linear fold), mod p;
     # the codes are read off the digit planes by Horner's rule.
-    stride = 2 * f - 1
-    end = min(count, total // stride) * stride
-    planes = [vals[j:end:stride] for j in range(stride)]
+    if planar:
+        planes = [vals[j * count:(j + 1) * count] for j in range(f)]
+    else:
+        stride = 2 * f - 1
+        end = min(count, total // stride) * stride
+        planes = [vals[j:end:stride] for j in range(stride)]
     fold = _fold_table(k)
     code = None
     for i in reversed(range(f)):
@@ -201,19 +195,25 @@ def _field_tables(k):
     if k.f == 1 or k.order > _TABLE_ORDER:
         return None
     order = range(k.order)
-
-    def rows(op):
-        return _Memo(lambda a: tuple(map(op, itertools.repeat(a, k.order), order)))
-    return _Tables(rows(k.add), rows(k.mul), tuple(map(k.neg, order)))
+    return _Tables(_Memo(lambda a: tuple(map(k.add, itertools.repeat(a), order))),
+                   _Memo(lambda a: tuple(map(k.mul, itertools.repeat(a), order))),
+                   tuple(map(k.neg, order)))
 
 
 @functools.lru_cache(maxsize=None)
 def _digit_bytes(k, w):
-    """c -> the f w-byte slots of c's F_p-digits, as bytes: a tuple over k
-    up to order _TABLE_ORDER, above it a table filled on first lookup."""
+    """c -> the f w-byte slots of c's F_p-digits, as bytes: read from a
+    tuple over k up to order _TABLE_ORDER, computed on each call above it."""
+    p, bits, width = k.p, 8 * w, k.f * w
+
     def encode(c):
-        return b"".join(d.to_bytes(w, "little") for d in k.digits(c))
-    return tuple(map(encode, range(k.order))) if k.order <= _TABLE_ORDER else _Memo(encode)
+        n, at = 0, 0
+        while c:
+            c, d = divmod(c, p)
+            n |= d << at
+            at += bits
+        return n.to_bytes(width, "little")
+    return tuple(map(encode, range(k.order))).__getitem__ if k.order <= _TABLE_ORDER else encode
 
 
 def series_add(k, a, b):
@@ -455,16 +455,16 @@ def one_plus_t_pow(p, top, u):
 # (top <= 32; gamma_power_containment adds the exponents u^m) and cli_batch
 # through 9, 28 distinct between them, so 32 entries still hold both.  Inside
 # a round over 99% of module_checks lookups and 88% of cli_batch lookups hit.
-# An entry grows to at most top rows of top (2f - 1) slots of w bytes: about
-# 2.9 MB at p = 2, f = 1, top = 1200; rows over f > 1 are 2f - 1 times wider.
+# An entry grows to at most top rows of top slots of w bytes: about 2.9 MB at
+# p = 2, top = 1200.
 @functools.lru_cache(maxsize=32)
-def _substitution_rows(p, f, top, u):
+def _substitution_rows(p, top, u):
     """upto(n), the list of the rows ((1+t)^u - 1)^e below top for e < n
-    (built on first demand, one product per row), packed in the engine's
-    layout over F_{p^f}; and the slot width: top * (p - 1)^2 bounds any
-    sum of the rows weighted by F_p-digits.  u is already reduced mod the
+    (built on first demand, one product per row), packed one F_p
+    coefficient per slot; and the slot width: top * (p - 1)^2 bounds any
+    sum of the rows with F_p weights.  u is already reduced mod the
     exponent modulus, so equal substitutions share one entry."""
-    k, prime = FiniteFieldParams(p, f), FiniteFieldParams(p)  # the rows lie over F_p
+    k = FiniteFieldParams(p)
     w = _slot_bytes(top * (p - 1) ** 2)
     base = one_plus_t_pow(p, top, u)
     rows, power = [], {0: 1}
@@ -473,7 +473,7 @@ def _substitution_rows(p, f, top, u):
         nonlocal power
         while len(rows) < n:
             rows.append(_pack(k, power, 0, w))
-            power = series_mul(prime, power, base, top)
+            power = series_mul(k, power, base, top)
         return rows
     return upto, w
 
@@ -487,17 +487,22 @@ def series_substitute(k, a, u, top):
                               precondition="gcd(u, p) = 1")
     if not a:
         return {}
-    upto, w = _substitution_rows(p, k.f, top, u % exponent_modulus(p, top))
+    upto, w = _substitution_rows(p, top, u % exponent_modulus(p, top))
     rows = upto(max(a) + 1)
     if k.f == 1:
-        n = sum(c * rows[e] for e, c in a.items())
-    else:
-        # A row holds F_p-coefficients in slot 0 of each index, so its
-        # product by the packed digits of c adds the row into slot j of
-        # each index, weighted by digit j of c.
-        digits = _digit_bytes(k, w)
-        n = sum(int.from_bytes(digits[c], "little") * rows[e] for e, c in a.items())
-    return _unpack(k, n, w, top * (2 * k.f - 1), top, 0)
+        return _unpack(k, sum(c * rows[e] for e, c in a.items()), w, top, top, 0)
+    # The rows lie over F_p, so F_p-digit j of the result is the row sum
+    # weighted by digit j of a's coefficients: one accumulator per digit,
+    # digit plane j stored in slots [j top, (j + 1) top) of one int.
+    planes = [0] * k.f
+    for e, c in a.items():
+        row, j = rows[e], 0
+        while c:
+            c, d = divmod(c, p)
+            planes[j] += d * row
+            j += 1
+    n = sum(plane << (8 * w * top * j) for j, plane in enumerate(planes))
+    return _unpack(k, n, w, k.f * top, top, 0, planar=True)
 
 
 def series_terms(k, a, letter):

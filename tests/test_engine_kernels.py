@@ -19,7 +19,6 @@ from padic_ramlab.gf import FiniteFieldParams
 from padic_ramlab.qring import (_TABLE_ORDER, PackedMatrix, _field_tables, _pack, _shift_scale,
                                 _unpack, series_add, series_frobenius, series_matmul,
                                 series_neg, series_scale)
-from padic_ramlab.qring import _digit_bytes
 from padic_ramlab.tiltring import RingSpec
 from padic_ramlab.wach import random_module
 from .oracles import schoolbook_matmul, schoolbook_mul
@@ -101,17 +100,16 @@ def test_tables_have_the_stated_size_bound():
         assert tables.add[3 % k.order][k.order - 1] == k.add(3 % k.order, k.order - 1)
 
 
-def test_digit_table_above_the_bound_holds_only_what_was_packed():
-    _digit_bytes.cache_clear()  # a fresh table per (field, width)
-    for k in LARGE_FIELDS + [FiniteFieldParams(257)]:
-        packed = set()
-        for a in ({0: 5, 3: k.order - 1}, {1: 5, 2: 6, 7: k.order // 2}):
-            _pack(k, a, 0, 2)
-            packed |= set(a.values())
-            assert sorted(_digit_bytes(k, 2)) == sorted(packed), k
-        assert _digit_bytes(k, 1) == {}  # another width, another table
-    for k in TABLE_FIELDS:  # at or below the bound: all of k at once
-        assert len(_digit_bytes(k, 2)) == k.order
+def test_pack_writes_each_digit_in_its_slot():
+    # digit j of the coefficient at index e goes to slot e (2f - 1) + j,
+    # whether read from the tuple over k (up to the bound) or encoded on
+    # the call (above it, F_257 included)
+    for k in TABLE_FIELDS + LARGE_FIELDS + [FiniteFieldParams(257)]:
+        for w in (2, 8):
+            a = {0: 5 % k.order, 3: k.order - 1, 7: k.order // 2}
+            assert _pack(k, a, 0, w) == sum(d << 8 * w * (e * (2 * k.f - 1) + j)
+                                            for e, c in a.items()
+                                            for j, d in enumerate(k.digits(c))), (k, w)
 
 
 # -- fused C - A B and packed-once matrices -------------------------------------

@@ -315,8 +315,8 @@ def test_table_substitution_matches_horner(data):
     assert series_substitute(k, a, u + k.p * modulus, top) == got
 
 
-# every packing route of the substitution: f > 1 below and above the
-# table bound, and F_p above it (the digit table filled on first lookup)
+# the substitution's digit planes over f > 1, below and above the table
+# bound, and its rows over an F_p above it (digits encoded on each call)
 PACKED_FIELDS = [(2, 2), (5, 2), (2, 9), (17, 2), (7, 3), (257, 1)]
 
 
@@ -348,7 +348,7 @@ def test_substitution_table_grows_on_demand():
     top, u = 53, 5
     a, b = {0: 1, 2: 5}, {1: 2, 40: 7}
     assert series_substitute(k, a, u, top) == horner_substitute(k, a, u, top)
-    upto, _ = _substitution_rows(k.p, k.f, top, u % exponent_modulus(k.p, top))
+    upto, _ = _substitution_rows(k.p, top, u % exponent_modulus(k.p, top))
     assert len(upto(0)) == 3
     assert series_substitute(k, b, u, top) == horner_substitute(k, b, u, top)
     assert len(upto(0)) == 41
