@@ -23,10 +23,11 @@ Inside, the solver runs on the series engine of qring: a row is a
 sequence of coefficient dicts, a valuation is a least monomial index m
 (ring valuation m/D), and the thresholds of SolverParams are integers
 over D (index_bounds, computed once per denominator).  The views
-(PhiVector, ValuedTrunc) are read once, at entry (x0, and F_t, V_t from
-specialize), and built once, for results (solutions, JcSet elements)
-and error texts.  F and V are PackedMatrix, packed once per slot width
-for every product of the candidate search, the lift and the final check.
+(PhiVector, ValuedTrunc) are read once, at entry (x0, and F_t, V_t,
+which specialize builds from dicts only to return them), and built
+once, for results (solutions, JcSet elements) and error texts.  F and
+V are PackedMatrix, packed once per slot width for every product of
+the candidate search, the lift and the final check.
 
 The lift does not recompute each defect in full.  The truncated
 product is bilinear and phi is additive below the working top, so for

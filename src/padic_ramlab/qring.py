@@ -63,6 +63,7 @@ Products are computed on packed integers (Kronecker substitution):
     ((1+t)^u - 1)^e, keyed by (p, top, u mod p^T): one sum per F_p-digit
     of the c_e, each a digit plane that _unpack decodes.
   * A product with a one-term operand is a shift and a scale.
+  * Not packed: series_invert, the one unit inverse (invert_unit, wach), goes term by term.
 """
 
 import collections
@@ -505,6 +506,35 @@ def series_substitute(k, a, u, top):
     return _unpack(k, n, w, k.f * top, top, 0, planar=True)
 
 
+def series_invert(k, a, top):
+    """The inverse of a unit a (nonzero constant term) below top, one
+    coefficient at a time: b_e = -b_0 sum_(0 < j <= e) a_j b_(e-j).  On
+    F_p each sum is taken in integers and reduced once; a larger field
+    reads its tables, or calls gf per term above order _TABLE_ORDER."""
+    if not a.get(0):
+        raise ZeroDivisionError("not a unit: zero constant term")
+    terms = sorted((j, c) for j, c in a.items() if 0 < j < top)
+    inv = [k.inv(a[0])] + [0] * (top - 1)
+    scale, tables = k.neg(inv[0]), _field_tables(k)
+    add, mul = (lambda x, y: tables.add[x][y], lambda x, y: tables.mul[x][y]) if tables \
+        else (k.add, k.mul)
+    for e in range(1 if terms else top, top):  # a constant's inverse is a constant
+        acc = 0
+        if k.f == 1:
+            for j, c in terms:
+                if j > e:
+                    break
+                acc += c * inv[e - j]
+            inv[e] = acc * scale % k.p
+            continue
+        for j, c in terms:
+            if j > e:
+                break
+            acc = add(acc, mul(c, inv[e - j]))
+        inv[e] = mul(acc, scale)
+    return {e: c for e, c in enumerate(inv) if c}
+
+
 def series_terms(k, a, letter):
     """Bare term form in the variable letter, e.g. '1*x^0 + 2*x^3'."""
     if not a:
@@ -760,18 +790,4 @@ def try_divide(a, j):
 
 def invert_unit(a):
     """Inverse of a unit (nonzero constant term); exact at truncation N."""
-    k = a.params
-    c0 = a.constant_term()
-    if c0 == 0:
-        raise ZeroDivisionError("not a unit: zero constant term")
-    c0_inv = k.inv(c0)
-    inv = {0: c0_inv}
-    # Solve sum_{e'<=e} a_{e-e'} b_{e'} = 0 for e >= 1, coefficient by coefficient.
-    for e in range(1, a.trunc):
-        acc = 0
-        for e1, c1 in a.coeffs.items():
-            if 0 < e1 <= e and (e - e1) in inv:
-                acc = k.add(acc, k.mul(c1, inv[e - e1]))
-        if acc:
-            inv[e] = k.neg(k.mul(c0_inv, acc))
-    return QPoly._new(a.params, a.trunc, inv)
+    return QPoly._new(a.params, a.trunc, series_invert(a.params, a.coeffs, a.trunc))

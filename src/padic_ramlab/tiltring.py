@@ -285,17 +285,23 @@ def embed_q(a, spec):
     source dropped at x^N land at valuation N/(p-1) (tilt) or N/D
     (untilted), which must lie strictly beyond the cut.
     """
-    if a.params != spec.params:
-        raise ParamMismatch(f"field mismatch: {a.params} vs {spec.params}")
+    return ValuedTrunc._new(spec, _embedding(a.params, a.trunc, spec)(a.coeffs))
+
+
+def _embedding(params, trunc, spec):
+    """embed_q on coefficient dicts, for sources over params at truncation
+    trunc, after its two checks: the field and the truncation."""
+    if params != spec.params:
+        raise ParamMismatch(f"field mismatch: {params} vs {spec.params}")
     img, m_max = spec.embed_exponent, spec.m_max
-    if a.trunc * img <= m_max:  # the tail's valuation N img / D is <= cut
+    if trunc * img <= m_max:  # the tail's valuation N img / D is <= cut
         raise CapacityExceeded(
-            f"source truncation N={a.trunc} only determines the image below "
-            f"valuation {Fraction(a.trunc * img, spec.denominator)}, but the target cut "
+            f"source truncation N={trunc} only determines the image below "
+            f"valuation {Fraction(trunc * img, spec.denominator)}, but the target cut "
             f"is {spec.cut}",
             precondition="N * val(image of q-1) > cut",
         )
-    return ValuedTrunc._new(spec, {e * img: c for e, c in a.coeffs.items() if e * img <= m_max})
+    return lambda a: {e * img: c for e, c in a.items() if e * img <= m_max}
 
 
 def reduce_to(a, c):

@@ -8,7 +8,9 @@ The defining conditions checked here:
     verify_height produces V or fails, from one elimination over
     k[[x]]/x^N that pivots on the entry of lowest x-adic valuation
     (Smith form F = P diag(x^(h_j) u_j) Q, O(d^3) ring operations); the
-    same elimination gives mat_inverse_unit.  The cofactor determinant
+    same elimination gives mat_inverse_unit.  Both run on coefficient
+    dicts through the series engine, and build QPoly views only for the
+    V or inverse they return.  The cofactor determinant
     and adjugate (mat_det, mat_adjugate, O(d!)) are kept as the test
     oracle and are called by no library path;
   * the Galois action is trivial modulo (q-1): G = Id mod (q-1), and
@@ -21,7 +23,8 @@ The defining conditions checked here:
     square-and-multiply in O(s log p) matrix products.
 
 specialize() pushes (F, V) into a truncated valued ring, giving the
-matrices the fixed-point solvers consume.
+matrices the fixed-point solvers consume; it embeds and re-checks on
+dicts too, and builds ValuedTrunc views only for its result.
 """
 
 import functools
@@ -92,11 +95,11 @@ def mat_map(fn, A):
     return tuple(tuple(fn(a) for a in row) for row in A)
 
 
-def _scalar_mismatch(A, target, zero):
-    """The first entry '(i,j)' where A differs from target Id, or None."""
+def _scalar_mismatch(A, target):
+    """The first entry '(i,j)' where the dict matrix A differs from target Id, or None."""
     for i, row in enumerate(A):
         for j, a in enumerate(row):
-            if a != (target if i == j else zero):
+            if a != (target if i == j else {}):
                 return f"({i},{j})"
     return None
 
@@ -136,25 +139,22 @@ def mat_adjugate(A):
     return tuple(tuple(row) for row in adj)
 
 
-def _lift(a, trunc):
-    """The element a read at the higher truncation trunc, unknown terms zero."""
-    return QPoly(a.params, trunc, a.coeffs)
-
-
 def _eliminate(A):
     """Diagonalize A over k[[x]]/(x^N) by valuation-pivoting elimination.
 
     Returns (R, col_ops, pivots) with R A C = diag(x^(h_j) u_j) mod x^N,
     where R is invertible, C is the product of col_ops in order (an entry
-    (k, c, None) swaps columns k and c; (k, c, m) adds m times
-    column k to column c) and pivots = [(h_j, u_j^(-1))], each inverse
-    at truncation N - h_j.  Returns None when a remaining submatrix is
-    zero mod x^N (then det A = 0 at this truncation).  Each step pivots
-    on an entry of lowest valuation v in the remaining submatrix, so
-    every entry there is divisible by x^v, and clears the pivot's column
-    by row operations and its row by column operations.  The h_j come
-    out non-decreasing.  Cleared entries are never read again, so they
-    are not written back.
+    (j, c, None) swaps columns j and c; (j, c, m) adds m times
+    column j to column c) and pivots = [(h_j, u_j^(-1))], each inverse
+    below N - h_j.  After one check that the entries of A share one ring,
+    it runs on their coefficient dicts through the series engine: R, the
+    m and the u_j^(-1) are dicts, and no view is built.  Returns None
+    when a remaining submatrix is zero mod x^N (then det A = 0 at this
+    truncation).  Each step pivots on an entry of lowest valuation v in
+    the remaining submatrix, so every entry there is divisible by x^v,
+    and clears the pivot's column by row operations and its row by
+    column operations.  The h_j come out non-decreasing.  Cleared
+    entries are never read again, so they are not written back.
 
     Precision: a multiplier -(b / x^v) u^(-1), b an entry to clear and
     x^v u the pivot, is known only mod x^(N-v) and is used with its
@@ -165,55 +165,58 @@ def _eliminate(A):
     whenever every h_j <= h, so the error stays below the slack of the
     height witness.
     """
-    d = len(A)
-    N = A[0][0].trunc
-    A = [list(row) for row in A]
-    R = [list(row) for row in mat_identity(A[0][0].params, N, d)]
+    first = A[0][0]
+    k, N, d = first.params, first.trunc, len(A)
+    for row in A:
+        for a in row:
+            first._check(a)
+    A = [[a.coeffs for a in row] for row in A]
+    R = [[{0: 1} if r == c else {} for c in range(d)] for r in range(d)]
     col_ops = []
     pivots = []
-    for k in range(d):
-        entries = [(A[r][c].valuation(), r, c) for r in range(k, d)
-                   for c in range(k, d) if not A[r][c].is_zero()]
+    for j in range(d):
+        entries = [(min(A[r][c]), r, c) for r in range(j, d) for c in range(j, d) if A[r][c]]
         if not entries:
             return None
         v, pr, pc = min(entries)
-        A[k], A[pr] = A[pr], A[k]
-        R[k], R[pr] = R[pr], R[k]
-        if pc != k:
+        A[j], A[pr] = A[pr], A[j]
+        R[j], R[pr] = R[pr], R[j]
+        if pc != j:
             for row in A:
-                row[k], row[pc] = row[pc], row[k]
-            col_ops.append((k, pc, None))
-        unit_inv = invert_unit(try_divide(A[k][k], v))
-        for r in range(k + 1, d):
-            if A[r][k].is_zero():
-                continue
-            neg_m = _lift(try_divide(-A[r][k], v) * unit_inv, N)
-            for c in range(k + 1, d):
-                if not A[k][c].is_zero():
-                    A[r][c] = A[r][c] + neg_m * A[k][c]
-            R[r] = [a if b.is_zero() else a + neg_m * b for a, b in zip(R[r], R[k])]
-        for c in range(k + 1, d):
-            if not A[k][c].is_zero():
-                col_ops.append((k, c, _lift(try_divide(-A[k][c], v) * unit_inv, N)))
+                row[j], row[pc] = row[pc], row[j]
+            col_ops.append((j, pc, None))
+        unit_inv = qring.series_invert(k, tiltring._divide(A[j][j], v), N - v)
+
+        def multiplier(b):  # -(b / x^v) u^(-1)
+            return qring.series_mul(k, qring.series_neg(k, tiltring._divide(b, v)), unit_inv,
+                                    N - v)
+        for r in range(j + 1, d):
+            if A[r][j]:
+                m = multiplier(A[r][j])
+                A[r][j + 1:] = _add_multiple(k, A[r][j + 1:], m, A[j][j + 1:], N)
+                R[r] = _add_multiple(k, R[r], m, R[j], N)
+        col_ops.extend((j, c, multiplier(A[j][c])) for c in range(j + 1, d) if A[j][c])
         pivots.append((v, unit_inv))
     return R, col_ops, pivots
 
 
-def _scaled_inverse(R, col_ops, scales):
-    """C diag(scales) R for an elimination (R, col_ops), at the truncation
-    of the scales: C acts as the row operation matching each column
+def _add_multiple(k, row, m, other, top):
+    """row + m other below top, entry by entry, on coefficient dicts."""
+    return [a if not b else qring.series_add(k, a, qring.series_mul(k, m, b, top))
+            for a, b in zip(row, other)]
+
+
+def _scaled_inverse(k, R, col_ops, scales, top):
+    """C diag(scales) R below top for an elimination (R, col_ops), on
+    coefficient dicts: C acts as the row operation matching each column
     operation, last first."""
-    trunc = scales[0].trunc
-    zero = QPoly.zero(scales[0].params, trunc)
-    rows = [[zero if b.is_zero() else b.retrunc(trunc) * s for b in row]
-            for row, s in zip(R, scales)]
-    for k, c, m in reversed(col_ops):
+    rows = [[qring.series_mul(k, b, s, top) for b in row] for row, s in zip(R, scales)]
+    for j, c, m in reversed(col_ops):
         if m is None:
-            rows[k], rows[c] = rows[c], rows[k]
+            rows[j], rows[c] = rows[c], rows[j]
         else:
-            m = m.retrunc(trunc)
-            rows[k] = [a if b.is_zero() else a + m * b for a, b in zip(rows[k], rows[c])]
-    return tuple(map(tuple, rows))
+            rows[j] = _add_multiple(k, rows[j], m, rows[c], top)
+    return rows
 
 
 def mat_inverse_unit(A):
@@ -224,7 +227,9 @@ def mat_inverse_unit(A):
     if found is None or any(v for v, _ in found[2]):
         raise ZeroDivisionError("not a unit: determinant has zero constant term")
     R, col_ops, pivots = found
-    return _scaled_inverse(R, col_ops, [u_inv for _, u_inv in pivots])
+    k, N = A[0][0].params, A[0][0].trunc
+    inverse = _scaled_inverse(k, R, col_ops, [u_inv for _, u_inv in pivots], N)
+    return tuple(tuple(QPoly._new(k, N, a) for a in row) for row in inverse)
 
 
 # -- the module type ---------------------------------------------------------
@@ -288,7 +293,8 @@ def verify_height(module):
     is raised when det F = 0 at this truncation (sum h_j >= N or a zero
     remaining block) or some h_j > h.  The witness is certified at
     truncation N - max(sum h_j, h); for the generic case sum h_j <= h
-    this is the full N - (p-1)i.
+    this is the full N - (p-1)i.  All of it runs on coefficient dicts,
+    the check F V = x^h Id too; only the returned V is built as QPoly.
     """
     h = module.height_exponent
     N = module.trunc
@@ -313,17 +319,17 @@ def verify_height(module):
             f"divide x^{h}"
         )
     slack = N - max(delta, h)
-    V = _scaled_inverse(R, col_ops, [
-        u_inv.retrunc(slack).shift(h - v) for v, u_inv in pivots
-    ])
+    k = module.params
+    V = _scaled_inverse(k, R, col_ops, [
+        {e + h - v: c for e, c in u_inv.items() if e + h - v < slack} for v, u_inv in pivots
+    ], slack)
     # re-multiply and assert the defining identity at the certified slack
-    zero = QPoly.zero(module.params, slack)
-    target = QPoly.monomial(module.params, slack, h) if h < slack else zero
-    F_cut = mat_map(lambda a: a.retrunc(slack), module.F)
-    bad = _scalar_mismatch(mat_mul(F_cut, V), target, zero)
+    FV = qring.series_matmul(k, [[a.coeffs for a in row] for row in module.F], V, slack)
+    bad = _scalar_mismatch(FV, {h: 1} if h < slack else {})
     if bad:
         raise HeightExceeded(f"height > {module.height}: F V != x^{h} Id at entry {bad}")
-    return HeightWitness(V=V, slack=slack)
+    return HeightWitness(V=tuple(tuple(QPoly._new(k, slack, a) for a in row) for row in V),
+                         slack=slack)
 
 
 def verify_gamma(module):
@@ -403,28 +409,38 @@ def gamma_power_containment(module, s):
     return all(a.is_zero() or a.valuation() >= power for a in minus_id)
 
 
+def _twisted_embedding(k, trunc, spec):
+    """embed_twisted on the coefficient dicts of sources over k at truncation trunc."""
+    embed = tiltring._embedding(k, trunc, spec)
+    if spec.mode != tiltring.UNTILTED or k.f == 1:
+        return embed
+    return lambda a: {m: k.frobenius_pow(c, -spec.level) for m, c in embed(a).items()}
+
+
 def embed_twisted(a, spec):
     """embed_q of a, its coefficients first twisted by the inverse s-th
     Frobenius of k in untilted mode at level s (trivial for f = 1)."""
-    k = a.params
-    if spec.mode == tiltring.UNTILTED and k.f > 1:
-        a = QPoly(k, a.trunc, {e: k.frobenius_pow(c, -spec.level) for e, c in a.coeffs.items()})
-    return tiltring.embed_q(a, spec)
+    return tiltring.ValuedTrunc._new(spec, _twisted_embedding(a.params, a.trunc, spec)(a.coeffs))
 
 
 def specialize(module, spec):
     """Push (F, V) into the valued ring given by spec; the height witness
     V is computed inside, by verify_height.
 
-    Entries go through embed_twisted.  The identity
+    Entries go through embed_twisted, on coefficient dicts: the field and
+    the truncations are checked once per matrix, and ValuedTrunc views
+    are built only for the returned F_t and V_t.  The identity
     F_t V_t = (image of q-1)^((p-1)i) is re-asserted at the target cut.
     V is certified only to N - max(sum h_j, (p-1)i); a cut beyond its
     reach raises a CapacityExceeded that names N and that truncation.
     """
     witness = verify_height(module)
-    F_t = mat_map(lambda a: embed_twisted(a, spec), module.F)
+    if not module.rank:
+        return (), ()
+    k = module.params
+    embed = _twisted_embedding(k, module.trunc, spec)
     try:
-        V_t = mat_map(lambda a: embed_twisted(a, spec), witness.V)
+        tiltring._embedding(k, witness.slack, spec)
     except CapacityExceeded:
         raise CapacityExceeded(
             f"module truncation N={module.trunc} certifies the height witness V only to "
@@ -432,13 +448,14 @@ def specialize(module, spec):
             f"determine its image up to the target cut {spec.cut}",
             precondition="(N - max(sum h_j, (p-1)i)) * val(image of q-1) > cut",
         ) from None
-    target_idx = module.height_exponent * spec.embed_exponent
-    zero = tiltring.ValuedTrunc.zero(spec)
-    target = tiltring.ValuedTrunc(spec, {target_idx: 1}) if target_idx <= spec.m_max else zero
-    bad = _scalar_mismatch(mat_mul(F_t, V_t), target, zero)
+    F_t, V_t = ([[embed(a.coeffs) for a in row] for row in M] for M in (module.F, witness.V))
+    target = module.height_exponent * spec.embed_exponent
+    FV = qring.series_matmul(k, F_t, V_t, spec.m_max + 1)
+    bad = _scalar_mismatch(FV, {target: 1} if target <= spec.m_max else {})
     if bad:
         raise HeightExceeded(f"specialized F V != (image of q-1)^((p-1)i) at {bad}")
-    return F_t, V_t
+    wrap = functools.partial(tiltring.ValuedTrunc._new, spec)
+    return tuple(tuple(tuple(map(wrap, row)) for row in M) for M in (F_t, V_t))
 
 
 # -- standard rank-1 family ---------------------------------------------------

@@ -2,7 +2,8 @@
 
 The f > 1 kernels read per-field tables built once from gf; they are
 compared here with one gf call per term over F_4, F_8, F_9 and F_25, and
-on fields above the table bound, which keep the per-term path.  The fused
+on fields above the table bound, which keep the per-term path.  The one
+unit inverse is checked on prime fields, table fields and F_289.  The fused
 C - A B and the pre-packed PackedMatrix are compared with the schoolbook
 oracle of tests/oracles.py.  The solver's incremental defect rests on the
 identity defect(starts + y) = (Q + phi(y)) - y F at the working top; it
@@ -16,9 +17,10 @@ import pytest
 
 from padic_ramlab.frobsolve import SolverParams, _defect_rows, _lift_setup
 from padic_ramlab.gf import FiniteFieldParams
-from padic_ramlab.qring import (_TABLE_ORDER, PackedMatrix, _field_tables, _pack, _shift_scale,
-                                _unpack, series_add, series_frobenius, series_matmul,
-                                series_neg, series_scale)
+from padic_ramlab.qring import (_TABLE_ORDER, PackedMatrix, QPoly, _field_tables, _pack,
+                                _shift_scale, _unpack, invert_unit, series_add,
+                                series_frobenius, series_invert, series_matmul, series_neg,
+                                series_scale)
 from padic_ramlab.tiltring import RingSpec
 from padic_ramlab.wach import random_module
 from .oracles import schoolbook_matmul, schoolbook_mul
@@ -64,6 +66,30 @@ def test_f_kernels_match_per_term_gf(data):
     assert series_scale(k, a, c) == scaled
     one = data.draw(dicts(k, top, max_size=1))
     assert _shift_scale(k, one, b, top) == schoolbook_mul(k, one, b, top)
+
+
+# F_2, F_5, F_13 (inline mod p), F_4, F_9, F_8 (tables) and F_289 (gf per term)
+INVERT_FIELDS = [FiniteFieldParams(2), FiniteFieldParams(5), FiniteFieldParams(13),
+                 FiniteFieldParams(2, 2), FiniteFieldParams(3, 2), FiniteFieldParams(2, 3),
+                 FiniteFieldParams(17, 2)]
+
+
+@pytest.mark.parametrize("k", INVERT_FIELDS, ids=lambda k: f"F_{k.order}")
+@hypothesis.settings(**{**SETTINGS, "max_examples": 30})
+@given(st.data())
+def test_unit_inverse_on_each_field(k, data):
+    top = data.draw(st.integers(1, 64))
+    a = data.draw(dicts(k, top, max_size=12))
+    a[0] = data.draw(st.integers(1, k.order - 1))
+    inv = series_invert(k, a, top)
+    assert schoolbook_mul(k, a, inv, top) == {0: 1}
+    assert all(0 <= e < top and 0 < c < k.order for e, c in inv.items())
+    assert invert_unit(QPoly(k, top, a)).coeffs == inv
+    del a[0]
+    with pytest.raises(ZeroDivisionError, match="not a unit: zero constant term"):
+        series_invert(k, a, top)
+    with pytest.raises(ZeroDivisionError, match="not a unit: zero constant term"):
+        invert_unit(QPoly(k, top, a))
 
 
 @hypothesis.settings(**SETTINGS)

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from padic_ramlab import wach
-from padic_ramlab.errors import HeightExceeded, RegimeViolation, TruncationTooLow
+from padic_ramlab.errors import HeightExceeded, ParamMismatch, RegimeViolation, TruncationTooLow
 from padic_ramlab.gf import FiniteFieldParams
 from padic_ramlab.qring import QPoly, parse_terms
 from padic_ramlab.tiltring import RingSpec, ValuedTrunc
 from padic_ramlab.wach import (
     WachModuleModP,
     _gamma_power,
+    embed_twisted,
     gamma_power_containment,
     make_rank1_module,
     mat_identity,
@@ -342,6 +343,51 @@ def test_specialize_untilted_twists_coefficients():
     unt = RingSpec(k4, "untilted", 1, Fraction(1, 2))
     F_u, _ = specialize(M, unt)
     assert F_u[0][0] == ValuedTrunc.constant(unt, k4.frobenius_pow(w, -1))
+
+
+def embed_by_definition(a, spec):
+    """q - 1 to the monomial of index embed_exponent, each coefficient
+    first twisted by the inverse s-th Frobenius of k in untilted mode."""
+    k, img, untilted = a.params, spec.embed_exponent, spec.mode == "untilted"
+    return ValuedTrunc(spec, {e * img: k.frobenius_pow(c, -spec.level) if untilted else c
+                              for e, c in a.coeffs.items() if e * img <= spec.m_max})
+
+
+@pytest.mark.parametrize("mode", ["tilt", "untilted"])
+def test_specialize_embeds_F_and_the_height_witness_entry_by_entry(mode):
+    rng = random.Random(71 if mode == "tilt" else 73)
+    twisted = 0
+    for _ in range(100):
+        # f = 3 tells the inverse s-th Frobenius from the s-th; f = 2 cannot
+        p, f = rng.choice([2, 3, 5]), rng.choice([1, 2, 3])
+        d, i = rng.randint(1, 3), rng.randint(0, 2)
+        level = rng.randint(1, 2) if mode == "tilt" else rng.randint(0, 2)
+        D = p ** (level - 1) * (p - 1) if mode == "tilt" else p**level * (p - 1)
+        margin = rng.randint(2, 10)  # the witness is certified to >= margin
+        M = random_module(rng, p, d, i, d * (p - 1) * i + margin, f=f)
+        top = margin * (p ** (level - 1) if mode == "tilt" else 1)
+        m = rng.randint(0, min(top, D if mode == "untilted" else 12) - 1)
+        spec = RingSpec(M.params, mode, level, Fraction(2 * m + 1, 2 * D))  # m_max = m
+        F_t, V_t = specialize(M, spec)
+        for got, source in ((F_t, M.F), (V_t, verify_height(M).V)):
+            assert got == tuple(tuple(embed_twisted(a, spec) for a in row) for row in source)
+            assert got == tuple(tuple(embed_by_definition(a, spec) for a in row)
+                                for row in source)
+        twisted += any(a.coeffs != {e * spec.embed_exponent: c for e, c in b.coeffs.items()
+                                    if e * spec.embed_exponent <= m}
+                       for row_t, row in zip(F_t, M.F) for a, b in zip(row_t, row))
+    # untilted, f > 1 twists coefficients outside F_p unless f divides the level; tilt never
+    assert (twisted > 0) == (mode == "untilted")
+
+
+def test_specialize_rejects_a_spec_over_another_field():
+    M = make_rank1_module(3, 1)
+    for other in (FiniteFieldParams(5), FiniteFieldParams(3, 2)):
+        for spec in (RingSpec(other, "tilt", 1, 3),
+                     RingSpec(other, "untilted", 1, Fraction(1, 2))):
+            with pytest.raises(ParamMismatch) as raised:
+                specialize(M, spec)
+            assert str(raised.value) == f"field mismatch: {M.params} vs {other}"
 
 
 def test_module_file_coefficients_are_read_mod_p():
