@@ -8,9 +8,10 @@ is byte-identical across runs except for the timing field.
 
 The budget comes from --budget or PADIC_RAMLAB_BUDGET (default 10^6)
 and must be a positive integer (a float such as 1e6 is truncated).  For
-solve it bounds the p^r solutions that are materialized and lifted;
-the full coefficient grid (p^f)^(d(m+1)) is bounded only where the
-enumerate_jc oracle scans it (verify approx1).
+solve it bounds the p^r solutions that are formed, as F_p-combinations
+of the r basis rows, which alone are lifted; the full coefficient grid
+(p^f)^(d(m+1)) is bounded only where the enumerate_jc oracle scans it
+(verify approx1).
 
 The argparse parser is built once per process, the first time main needs
 it, and shared by every later call; parsing keeps no state in it.

@@ -51,10 +51,6 @@ class PrecisionTooLow(RamlabError):
     """Approximate solution is not accurate enough to lift."""
 
 
-class NoConvergenceWithinCut(RamlabError):
-    """Contraction did not reach an exact solution before the cut."""
-
-
 class RegimeViolation(RamlabError):
     """Numerical regime required by the construction does not hold."""
 

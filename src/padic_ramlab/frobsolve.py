@@ -54,8 +54,8 @@ from itertools import product
 from typing import Optional
 
 from . import tiltring
-from .errors import (BudgetExceeded, NonCharacter, NoConvergenceWithinCut, ParamMismatch,
-                     PrecisionTooLow, RankError, RegimeViolation, StructureViolation)
+from .errors import (BudgetExceeded, NonCharacter, ParamMismatch, PrecisionTooLow, RankError,
+                     RegimeViolation, StructureViolation)
 from .gf import FiniteFieldParams
 from .qring import (PackedMatrix, exponent_modulus, gamma_q, series_add, series_frobenius,
                     series_matmul, series_scale)
@@ -467,11 +467,13 @@ def _contract(spec, params, F, V, basis, candidates):
     row whose defect is not above a is rejected first; then no
     combination's is.  Stage 1 iterates the r basis rows and records
     their (defects, corrections) per iterate, until every defect is zero
-    or the iteration cap of the least start-defect index has passed: a
-    combination's defect index is at least that least one, so its cap is
-    no larger.  Stage 2 reads each candidate off the record, checked as
-    if lifted alone (gain h per iterate, the same cap, correction above
-    b); the first candidate whose lift fails raises its error.
+    or (top - 1 - least) // gain + 1 iterates have run, least the least
+    start-defect index: a combination's finite defect index is at least
+    least, below top, and rises by at least gain per iterate, so by then
+    every candidate has reached a zero defect or failed the gain check.
+    Stage 2 reads each candidate off the record, checked as if lifted
+    alone (gain h per iterate, correction above b); the first candidate
+    whose lift fails raises its error.
 
     Every iterate is engine calls on dict rows, which the callers read
     from views at entry and wrap as views for their results.  A valuation
@@ -483,15 +485,7 @@ def _contract(spec, params, F, V, basis, candidates):
     k, top, D, last = spec.params, spec_int.m_max + 1, spec.denominator, spec.m_max
     d, shift = len(F), params.div_exp(spec)
     defect_floor, correction_floor, gain = params.index_bounds(D)
-    # the cap ceil((cut - m0/D) / h) + 8 of a lift whose input defect has
-    # index m0, over the integers: cut D = n1/d1 and h D = n2/d2
-    cut_D, h_D = spec_int.cut * D, params.h * D
-    n1, d1, n2, d2 = cut_D.numerator, cut_D.denominator, h_D.numerator, h_D.denominator
     valuation = functools.cache(lambda m: m if m == math.inf else Fraction(m, D))
-
-    def cap(m0):
-        return -((m0 * d1 - n1) * d2 // (d1 * n2)) + 8
-
     Q = _defect_rows(k, basis, F, top)
     least = min(map(_index, Q), default=math.inf)
     if least <= defect_floor:
@@ -499,7 +493,7 @@ def _contract(spec, params, F, V, basis, candidates):
     defects = S = Q  # y = 0: phi(y) = 0
     Y = [({},) * d] * len(basis)
     record = [(defects, Y)]
-    while any(map(any, defects)) and len(record) <= cap(least):
+    while any(map(any, defects)) and len(record) <= (top - 1 - least) // gain + 1:
         Y = _contraction_step(k, S, V, top, shift)
         S = [[series_add(k, q, series_frobenius(k, y, top)) for q, y in zip(qs, ys)]
              for qs, ys in zip(Q, Y)]
@@ -519,9 +513,6 @@ def _contract(spec, params, F, V, basis, candidates):
             t.append(m)
             if m == math.inf:
                 break
-            if len(t) > cap(t[0]):
-                raise NoConvergenceWithinCut(
-                    f"defect still nonzero after {cap(t[0])} iterates at cut {spec_int.cut}")
         y = _truncate(correction_of(c), last)
         if (corr := _index(y)) <= correction_floor:
             raise StructureViolation(

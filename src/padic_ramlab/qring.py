@@ -57,7 +57,9 @@ Products are computed on packed integers (Kronecker substitution):
     series_neg, series_scale and _shift_scale read add[a][b], mul[a][b]
     (rows on first lookup, at most 65536 entries each) and neg[a], built
     once per field from gf, and _pack reads the bytes of c's slots from
-    a tuple over k; a larger field calls gf per term.  gf.mul stays the
+    a tuple over k; a larger field calls gf per term.  series_frobenius
+    follows the same rule: a c -> c^p table per field up to that order,
+    one gf call per term, keeping nothing, above it.  gf.mul stays the
     schoolbook product.
   * The substitution t -> (1+t)^u - 1 sums c_e times the cached F_p rows
     ((1+t)^u - 1)^e, keyed by (p, top, u mod p^T): one sum per F_p-digit
@@ -417,17 +419,21 @@ def series_pow(k, a, n, top):
 
 @functools.lru_cache(maxsize=None)
 def _frobenius_table(k):
-    """c -> c^p in k, each entry computed on its first lookup."""
+    """c -> c^p in a field of order <= _TABLE_ORDER, each entry computed
+    on its first lookup."""
     return _Memo(k.frobenius)
 
 
 def series_frobenius(k, a, top):
     """c*t^e -> c^p * t^(p*e), the p-th power map in characteristic p.
     On F_p, c^p = c and only the indices move; on a larger field c^p is
-    read from one table per field."""
+    read from one table per field up to order _TABLE_ORDER, and computed
+    per term, keeping nothing, above it."""
     p = k.p
     if k.f == 1:
         return {p * e: c for e, c in a.items() if p * e < top}
+    if k.order > _TABLE_ORDER:
+        return {p * e: k.frobenius(c) for e, c in a.items() if p * e < top}
     power = _frobenius_table(k)
     return {p * e: power[c] for e, c in a.items() if p * e < top}
 

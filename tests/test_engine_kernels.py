@@ -2,7 +2,8 @@
 
 The f > 1 kernels read per-field tables built once from gf; they are
 compared here with one gf call per term over F_4, F_8, F_9 and F_25, and
-on fields above the table bound, which keep the per-term path.  The one
+on fields above the table bound, which keep the per-term path and, for
+the Frobenius, no per-coefficient state either.  The one
 unit inverse is checked on prime fields, table fields and F_289.  The fused
 C - A B and the pre-packed PackedMatrix are compared with the schoolbook
 oracle of tests/oracles.py.  The solver's incremental defect rests on the
@@ -11,16 +12,17 @@ is checked on random rows in both modes.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from padic_ramlab.frobsolve import SolverParams, _defect_rows, _lift_setup
 from padic_ramlab.gf import FiniteFieldParams
-from padic_ramlab.qring import (_TABLE_ORDER, PackedMatrix, QPoly, _field_tables, _pack,
-                                _shift_scale, _unpack, invert_unit, series_add,
-                                series_frobenius, series_invert, series_matmul, series_neg,
-                                series_scale)
+from padic_ramlab.qring import (_TABLE_ORDER, PackedMatrix, QPoly, _field_tables,
+                                _frobenius_table, _pack, _shift_scale, _unpack, invert_unit,
+                                series_add, series_frobenius, series_invert, series_matmul,
+                                series_neg, series_scale)
 from padic_ramlab.tiltring import RingSpec
 from padic_ramlab.wach import random_module
 from .oracles import schoolbook_matmul, schoolbook_mul
@@ -124,6 +126,36 @@ def test_tables_have_the_stated_size_bound():
             assert all(len(row) == k.order for row in rows.values())
             assert sum(map(len, rows.values())) <= _TABLE_ORDER ** 2
         assert tables.add[3 % k.order][k.order - 1] == k.add(3 % k.order, k.order - 1)
+
+
+# F_289, F_512 and F_65536 compute c^p per term; F_4, F_8, F_9 and F_25 read a table
+@pytest.mark.parametrize("k", TABLE_FIELDS + [FiniteFieldParams(17, 2), FiniteFieldParams(2, 9),
+                                              FiniteFieldParams(2, 16)],
+                         ids=lambda k: f"F_{k.order}")
+def test_series_frobenius_matches_per_term_gf(k):
+    rng = random.Random(k.order)
+    a = {e: rng.randrange(1, k.order) for e in range(0, 3000, rng.choice([1, 2, 3]))}
+    top = rng.randint(k.p * 1000, k.p * 3000)
+    assert series_frobenius(k, a, top) == {k.p * e: k.frobenius(c) for e, c in a.items()
+                                           if k.p * e < top}
+
+
+def test_series_frobenius_keeps_nothing_per_coefficient_above_the_table_order():
+    k = FiniteFieldParams(2, 16)
+    rng = random.Random(16)
+    a = {e: rng.randrange(1, k.order) for e in range(3000)}
+    series_frobenius(k, {0: 1}, 1)  # builds what is kept once per field
+    tracemalloc.start()
+    try:
+        series_frobenius(k, a, 2 * 3000)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 16384, kept  # about 2,900 distinct coefficients: a memo would hold 200 KB
+    # at or below the order, the table stays: tstar_deep's F_4 draws read it
+    small = FiniteFieldParams(2, 2)
+    series_frobenius(small, {0: 2, 1: 3}, 4)
+    assert {2, 3} <= _frobenius_table(small).keys()
 
 
 def test_pack_writes_each_digit_in_its_slot():

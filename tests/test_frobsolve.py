@@ -510,6 +510,30 @@ def test_tstar_raises_the_rate_violation_on_known_defect_draws(seed):
         compute_tstar(module, spec, budget=10**6, params=params)
 
 
+def count_contraction_steps(monkeypatch):
+    """A counter of the _contraction_step calls from here on."""
+    calls = collections.Counter()
+    step = frobsolve._contraction_step
+
+    def counted(*args):
+        calls["step"] += 1
+        return step(*args)
+    monkeypatch.setattr(frobsolve, "_contraction_step", counted)
+    return calls
+
+
+def test_known_defect_draws_fail_after_five_iterates_in_all(monkeypatch):
+    # each draw fails the gain check within its stopping bound: 5
+    # batched iterates over the three draws in all
+    calls = count_contraction_steps(monkeypatch)
+    for seed in (4, 7, 10):
+        module, spec, params = known_defect_case(seed)
+        with pytest.raises(StructureViolation) as err:
+            compute_tstar(module, spec, budget=10**6, params=params)
+        assert str(err.value) == "contraction rate violated: defect went 5 -> 5, gain below h = 1"
+    assert calls["step"] == 5
+
+
 @pytest.mark.xfail(strict=True, reason="the candidates are tested on their zero extension "
                    "at b, which drops a solution whose digits in (b, a] are not zero")
 def test_tstar_reaches_every_solution_the_grid_oracle_finds():
@@ -721,6 +745,28 @@ def test_lift_with_defect_exactly_at_a_is_too_shallow(p, mode, level, message, p
     with pytest.raises(PrecisionTooLow) as err:
         frobsolve._contract(spec, params, F, V, [start], [((1,), start)])
     assert (str(err.value), err.value.precondition) == (message, precondition)
+
+
+def test_stalled_lift_stops_at_the_integer_bound(monkeypatch):
+    # with V = 0 every correction is zero and the defect u^6 of the start
+    # row u^4 never moves: the gain check fails once the record holds
+    # (top - 1 - least) // gain + 1 iterates, and not later
+    module = make_rank1_module(3, 1)
+    params = SolverParams.for_tilt(3, 1, RingSpec(K3, "tilt", 1, 1))
+    spec = RingSpec(K3, "tilt", 1, params.c_work)
+    spec_int = params.working_spec(spec)
+    F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int))
+    zero = [[{} for _ in row] for row in V]
+    start = ({4: 1},)
+    top = spec_int.m_max + 1
+    (defect,) = _defect_rows(K3, [start], F, top)
+    least, gain = min(defect[0]), params.index_bounds(spec.denominator)[2]
+    steps = (top - 1 - least) // gain + 1
+    assert steps == 2
+    calls = count_contraction_steps(monkeypatch)
+    with pytest.raises(StructureViolation, match="contraction rate violated"):
+        frobsolve._contract(spec, params, F, zero, [start], [((1,), start)])
+    assert calls["step"] == steps
 
 
 @pytest.mark.parametrize("depth", [4, 5])

@@ -1,9 +1,10 @@
 """Source hygiene of the library, read with ast alone.
 
 In every module of the package but __init__.py, each imported name is
-used or listed in __all__, and each private module-level function or
-class is referenced somewhere in the library or the tests.  A deleted
-caller that leaves its import or its helper behind fails here.
+used or listed in __all__, each private module-level function or class
+is referenced somewhere in the library or the tests, and each class of
+errors.py is named by some raise in the library.  A deleted caller that
+leaves its import, its helper or its error class behind fails here.
 """
 
 import ast
@@ -68,3 +69,15 @@ def test_every_private_definition_is_referenced(path):
 def test_every_source_file_parses_at_the_declared_python_floor(path):
     # pyproject.toml declares requires-python >= 3.10
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_every_error_class_is_raised():
+    # a class of errors.py that no raise in the library names is dead API
+    errors = {node.name for node in _tree(PACKAGE / "errors.py").body
+              if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for source in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(_tree(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= _references(node.exc)
+    assert sorted(errors - raised) == []
