@@ -53,14 +53,13 @@ Products are computed on packed integers (Kronecker substitution):
     as one strided slice of the unpacked slots.  _unpack, the one
     decoder, folds the planes j >= f into digit planes 0..f-1 (plane i
     plus the F_p-digit i of w^j times plane j) and reduces each mod p.
-  * Field tables.  For f > 1 and p^f <= _TABLE_ORDER = 256, series_add,
-    series_neg, series_scale and _shift_scale read add[a][b], mul[a][b]
-    (rows on first lookup, at most 65536 entries each) and neg[a], built
-    once per field from gf, and _pack reads the bytes of c's slots from
-    a tuple over k; a larger field calls gf per term.  series_frobenius
-    follows the same rule: a c -> c^p table per field up to that order,
-    one gf call per term, keeping nothing, above it.  gf.mul stays the
-    schoolbook product.
+  * Field tables.  For f > 1, and for F_p with p > 256 (which _pack
+    sends down the digit path), the arithmetic reads one record per
+    field, _field_tables: add, mul, neg, c -> c^p, _unpack's fold and
+    _pack's digit bytes.  Up to order _TABLE_ORDER = 256 its entries are
+    kept (add and mul rows on first use, at most 65536 entries each);
+    above it each lookup but the fold is one gf call, keeping nothing.
+    gf.mul stays the schoolbook product.
   * The substitution t -> (1+t)^u - 1 sums c_e times the cached F_p rows
     ((1+t)^u - 1)^e, keyed by (p, top, u mod p^T): one sum per F_p-digit
     of the c_e, each a digit plane that _unpack decodes.
@@ -119,21 +118,12 @@ def _pack(k, a, off, w):
             buf[(e - off) * w] = c
         return int.from_bytes(buf, "little")
     # a coefficient's f slots are one bytes string of its digits
-    step, width, digits = (2 * k.f - 1) * w, k.f * w, _digit_bytes(k, w)
+    step, width, digits = (2 * k.f - 1) * w, k.f * w, _field_tables(k).digits[w]
     buf = bytearray((max(a) - off) * step + width)
     for e, c in a.items():
         at = (e - off) * step
-        buf[at:at + width] = digits(c)
+        buf[at:at + width] = digits[c]
     return int.from_bytes(buf, "little")
-
-
-@functools.lru_cache(maxsize=None)
-def _fold_table(k):
-    """fold[i][j - f]: F_p-digit i of w^j for f <= j <= 2f - 2, where w is
-    the root of the field modulus (encoded as the element p)."""
-    f = k.f
-    powers = [k.digits(k.pow(k.p, j)) for j in range(f, 2 * f - 1)]
-    return tuple(tuple(d[i] for d in powers) for i in range(f))
 
 
 def _unpack(k, n, w, total, count, off, planar=False):
@@ -158,7 +148,7 @@ def _unpack(k, n, w, total, count, off, planar=False):
         stride = 2 * f - 1
         end = min(count, total // stride) * stride
         planes = [vals[j:end:stride] for j in range(stride)]
-    fold = _fold_table(k)
+    fold = _field_tables(k).fold
     code = None
     for i in reversed(range(f)):
         digit = planes[i]
@@ -183,40 +173,51 @@ class _Memo(dict):
         return value
 
 
-_Tables = collections.namedtuple("_Tables", "add mul neg")
+class _Computed(_Memo):
+    """key -> fn(key), computed on every lookup and never kept."""
 
-# The largest field order with tables; each table then has at most
-# _TABLE_ORDER^2 = 65536 entries.
+    def __missing__(self, key):
+        return self.fn(key)
+
+
+_Tables = collections.namedtuple("_Tables", "add mul neg frob fold digits")
+
+# The largest field order whose lookups are kept; each of add and mul then
+# has at most _TABLE_ORDER^2 = 65536 entries.
 _TABLE_ORDER = 256
 
 
 @functools.lru_cache(maxsize=None)
 def _field_tables(k):
-    """The tables of a field with f > 1 and p^f <= _TABLE_ORDER, built from
-    gf: add[a][b] and mul[a][b] (rows on first use) and neg[a]; None for
-    every other field."""
-    if k.f == 1 or k.order > _TABLE_ORDER:
-        return None
-    order = range(k.order)
-    return _Tables(_Memo(lambda a: tuple(map(k.add, itertools.repeat(a), order))),
-                   _Memo(lambda a: tuple(map(k.mul, itertools.repeat(a), order))),
-                   tuple(map(k.neg, order)))
+    """The one record of a field's lookups, built from gf: add[a][b],
+    mul[a][b], neg[a], frob[a] = a^p, fold[i][j - f] (F_p-digit i of w^j
+    for f <= j <= 2f - 2, w the root of the field modulus, encoded as the
+    element p) and digits[w][c] (the f w-byte slots of c's F_p-digits, as
+    bytes).  Up to order _TABLE_ORDER every entry is kept once computed,
+    neg as a tuple over k; above it every lookup but fold calls gf and
+    keeps nothing."""
+    p, f, order = k.p, k.f, range(k.order)
+    kept = k.order <= _TABLE_ORDER
+    powers = [k.digits(k.pow(p, j)) for j in range(f, 2 * f - 1)]
+    fold = tuple(tuple(d[i] for d in powers) for i in range(f))
 
-
-@functools.lru_cache(maxsize=None)
-def _digit_bytes(k, w):
-    """c -> the f w-byte slots of c's F_p-digits, as bytes: read from a
-    tuple over k up to order _TABLE_ORDER, computed on each call above it."""
-    p, bits, width = k.p, 8 * w, k.f * w
-
-    def encode(c):
+    def encode(w, c):
         n, at = 0, 0
         while c:
             c, d = divmod(c, p)
             n |= d << at
-            at += bits
-        return n.to_bytes(width, "little")
-    return tuple(map(encode, range(k.order))).__getitem__ if k.order <= _TABLE_ORDER else encode
+            at += 8 * w
+        return n.to_bytes(f * w, "little")
+
+    def table(op):
+        """op(a, b) as table[a][b]: row a is a tuple over k made on its
+        first use, or each entry is computed on lookup."""
+        if kept:
+            return _Memo(lambda a: tuple(map(op, itertools.repeat(a), order)))
+        return _Computed(lambda a: _Computed(functools.partial(op, a)))
+    return _Tables(table(k.add), table(k.mul),
+                   tuple(map(k.neg, order)) if kept else _Computed(k.neg),
+                   (_Memo if kept else _Computed)(k.frobenius), fold, table(encode))
 
 
 def series_add(k, a, b):
@@ -233,19 +234,9 @@ def series_add(k, a, b):
             else:
                 out.pop(e, None)
         return out
-    tables = _field_tables(k)
-    if tables:
-        add = tables.add
-        for e, c in b.items():
-            s = add[out.get(e, 0)][c]
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return out
-    add = k.add
+    add = _field_tables(k).add
     for e, c in b.items():
-        s = add(out.get(e, 0), c)
+        s = add[out.get(e, 0)][c]
         if s:
             out[e] = s
         else:
@@ -257,11 +248,8 @@ def series_neg(k, a):
     if k.f == 1:
         p = k.p
         return {e: p - c for e, c in a.items()}
-    tables = _field_tables(k)
-    if tables:
-        neg = tables.neg
-        return {e: neg[c] for e, c in a.items()}
-    return {e: k.neg(c) for e, c in a.items()}
+    neg = _field_tables(k).neg
+    return {e: neg[c] for e, c in a.items()}
 
 
 def series_scale(k, a, c):
@@ -272,11 +260,8 @@ def series_scale(k, a, c):
     if k.f == 1:
         p = k.p
         return {e: c0 * c % p for e, c0 in a.items()}
-    tables = _field_tables(k)
-    if tables:
-        row = tables.mul[c]
-        return {e: row[c0] for e, c0 in a.items()}
-    return {e: k.mul(c0, c) for e, c0 in a.items()}
+    row = _field_tables(k).mul[c]
+    return {e: row[c0] for e, c0 in a.items()}
 
 
 def _shift_scale(k, a, b, top):
@@ -288,11 +273,8 @@ def _shift_scale(k, a, b, top):
     if k.f == 1:
         p = k.p
         return {e + e0: c * c0 % p for e, c in b.items() if e < limit}
-    tables = _field_tables(k)
-    if tables:
-        row = tables.mul[c0]
-        return {e + e0: row[c] for e, c in b.items() if e < limit}
-    return {e + e0: k.mul(c, c0) for e, c in b.items() if e < limit}
+    row = _field_tables(k).mul[c0]
+    return {e + e0: row[c] for e, c in b.items() if e < limit}
 
 
 def series_mul(k, a, b, top):
@@ -417,24 +399,14 @@ def series_pow(k, a, n, top):
     return result
 
 
-@functools.lru_cache(maxsize=None)
-def _frobenius_table(k):
-    """c -> c^p in a field of order <= _TABLE_ORDER, each entry computed
-    on its first lookup."""
-    return _Memo(k.frobenius)
-
-
 def series_frobenius(k, a, top):
     """c*t^e -> c^p * t^(p*e), the p-th power map in characteristic p.
     On F_p, c^p = c and only the indices move; on a larger field c^p is
-    read from one table per field up to order _TABLE_ORDER, and computed
-    per term, keeping nothing, above it."""
+    the field record's frob[c]."""
     p = k.p
     if k.f == 1:
         return {p * e: c for e, c in a.items() if p * e < top}
-    if k.order > _TABLE_ORDER:
-        return {p * e: k.frobenius(c) for e, c in a.items() if p * e < top}
-    power = _frobenius_table(k)
+    power = _field_tables(k).frob
     return {p * e: power[c] for e, c in a.items() if p * e < top}
 
 
@@ -516,28 +488,31 @@ def series_invert(k, a, top):
     """The inverse of a unit a (nonzero constant term) below top, one
     coefficient at a time: b_e = -b_0 sum_(0 < j <= e) a_j b_(e-j).  On
     F_p each sum is taken in integers and reduced once; a larger field
-    reads its tables, or calls gf per term above order _TABLE_ORDER."""
+    reads add and mul from its field record."""
     if not a.get(0):
         raise ZeroDivisionError("not a unit: zero constant term")
     terms = sorted((j, c) for j, c in a.items() if 0 < j < top)
     inv = [k.inv(a[0])] + [0] * (top - 1)
-    scale, tables = k.neg(inv[0]), _field_tables(k)
-    add, mul = (lambda x, y: tables.add[x][y], lambda x, y: tables.mul[x][y]) if tables \
-        else (k.add, k.mul)
-    for e in range(1 if terms else top, top):  # a constant's inverse is a constant
-        acc = 0
-        if k.f == 1:
+    scale = k.neg(inv[0])
+    indices = range(1 if terms else top, top)  # a constant's inverse is a constant
+    if k.f == 1:
+        for e in indices:
+            acc = 0
             for j, c in terms:
                 if j > e:
                     break
                 acc += c * inv[e - j]
             inv[e] = acc * scale % k.p
-            continue
-        for j, c in terms:
-            if j > e:
-                break
-            acc = add(acc, mul(c, inv[e - j]))
-        inv[e] = mul(acc, scale)
+    else:
+        tables = _field_tables(k)
+        add, mul = tables.add, tables.mul
+        for e in indices:
+            acc = 0
+            for j, c in terms:
+                if j > e:
+                    break
+                acc = add[acc][mul[c][inv[e - j]]]
+            inv[e] = mul[acc][scale]
     return {e: c for e, c in enumerate(inv) if c}
 
 

@@ -1,14 +1,16 @@
 """Differential tests of the series engine's table-driven and fused kernels.
 
-The f > 1 kernels read per-field tables built once from gf; they are
-compared here with one gf call per term over F_4, F_8, F_9 and F_25, and
-on fields above the table bound, which keep the per-term path and, for
-the Frobenius, no per-coefficient state either.  The one
-unit inverse is checked on prime fields, table fields and F_289.  The fused
-C - A B and the pre-packed PackedMatrix are compared with the schoolbook
-oracle of tests/oracles.py.  The solver's incremental defect rests on the
-identity defect(starts + y) = (Q + phi(y)) - y F at the working top; it
-is checked on random rows in both modes.
+The f > 1 kernels read one record per field, qring._field_tables; they
+are compared here with one gf call per term on both sides of its order
+bound 256: F_4, F_8, F_9, F_25 and F_256, whose lookups are kept, and
+F_289, F_343 and F_512, whose lookups each call gf.  Above the bound
+every kernel and the packing keep nothing per coefficient (F_65536).
+The one unit inverse is checked on prime fields and on both sides of
+the bound.  The fused C - A B and the pre-packed PackedMatrix are
+compared with the schoolbook oracle of tests/oracles.py.  The solver's
+incremental defect rests on the identity defect(starts + y) =
+(Q + phi(y)) - y F at the working top; it is checked on random rows in
+both modes.
 """
 
 import random
@@ -19,10 +21,10 @@ import pytest
 
 from padic_ramlab.frobsolve import SolverParams, _defect_rows, _lift_setup
 from padic_ramlab.gf import FiniteFieldParams
-from padic_ramlab.qring import (_TABLE_ORDER, PackedMatrix, QPoly, _field_tables,
-                                _frobenius_table, _pack, _shift_scale, _unpack, invert_unit,
-                                series_add, series_frobenius, series_invert, series_matmul,
-                                series_neg, series_scale)
+from padic_ramlab.qring import (_TABLE_ORDER, PackedMatrix, QPoly, _field_tables, _pack,
+                                _shift_scale, _unpack, invert_unit, series_add,
+                                series_frobenius, series_invert, series_matmul, series_mul,
+                                series_neg, series_scale, series_substitute)
 from padic_ramlab.tiltring import RingSpec
 from padic_ramlab.wach import random_module
 from .oracles import schoolbook_matmul, schoolbook_mul
@@ -36,6 +38,8 @@ SETTINGS = dict(deadline=None, derandomize=True, database=None, max_examples=60,
 
 TABLE_FIELDS = [FiniteFieldParams(2, 2), FiniteFieldParams(2, 3), FiniteFieldParams(3, 2),
                 FiniteFieldParams(5, 2)]
+# the largest field with kept lookups
+F_256 = FiniteFieldParams(2, 8)
 # above the table bound: 2^9, 17^2 and 7^3 elements
 LARGE_FIELDS = [FiniteFieldParams(2, 9), FiniteFieldParams(17, 2), FiniteFieldParams(7, 3)]
 
@@ -57,7 +61,7 @@ def per_term_add(k, a, b):
 @hypothesis.settings(**SETTINGS)
 @given(st.data())
 def test_f_kernels_match_per_term_gf(data):
-    k = data.draw(st.sampled_from(TABLE_FIELDS + LARGE_FIELDS))
+    k = data.draw(st.sampled_from(TABLE_FIELDS + [F_256] + LARGE_FIELDS))
     top = data.draw(st.integers(1, 30))
     a, b = data.draw(dicts(k, top)), data.draw(dicts(k, top))
     c = data.draw(st.integers(0, 3 * k.order))
@@ -70,10 +74,11 @@ def test_f_kernels_match_per_term_gf(data):
     assert _shift_scale(k, one, b, top) == schoolbook_mul(k, one, b, top)
 
 
-# F_2, F_5, F_13 (inline mod p), F_4, F_9, F_8 (tables) and F_289 (gf per term)
+# F_2, F_5, F_13 (inline mod p), F_4, F_9, F_8, F_256 (kept lookups) and F_512,
+# F_289 (gf per lookup)
 INVERT_FIELDS = [FiniteFieldParams(2), FiniteFieldParams(5), FiniteFieldParams(13),
                  FiniteFieldParams(2, 2), FiniteFieldParams(3, 2), FiniteFieldParams(2, 3),
-                 FiniteFieldParams(17, 2)]
+                 F_256, FiniteFieldParams(2, 9), FiniteFieldParams(17, 2)]
 
 
 @pytest.mark.parametrize("k", INVERT_FIELDS, ids=lambda k: f"F_{k.order}")
@@ -112,20 +117,40 @@ def test_pack_unpack_round_trip(data):
 
 def test_tables_have_the_stated_size_bound():
     assert _TABLE_ORDER == 256
-    for k in (FiniteFieldParams(2), FiniteFieldParams(257)) + tuple(LARGE_FIELDS):
-        assert _field_tables(k) is None, k  # the per-term gf path
-    for k in TABLE_FIELDS + [FiniteFieldParams(2, 8)]:
+    for k in TABLE_FIELDS + [F_256]:  # kept: every entry stays once computed
         tables = _field_tables(k)
         a = {e: e for e in range(1, k.order)}
         for c in range(1, k.order):  # the rows of every nonzero element
             series_scale(k, a, c)
             series_add(k, a, {e: c for e in a})
+        series_frobenius(k, a, k.p * k.order)
+        _pack(k, a, 0, 2)
         assert len(tables.neg) == k.order
         for rows in (tables.add, tables.mul):
             assert k.order - 1 <= len(rows) <= k.order
             assert all(len(row) == k.order for row in rows.values())
             assert sum(map(len, rows.values())) <= _TABLE_ORDER ** 2
         assert tables.add[3 % k.order][k.order - 1] == k.add(3 % k.order, k.order - 1)
+        assert k.order - 1 <= len(tables.frob) <= k.order
+        assert tables.frob[k.order - 1] == k.frobenius(k.order - 1)
+        assert 2 in tables.digits and len(tables.digits[2]) == k.order
+    # above the order every lookup calls gf and keeps nothing, F_257 (the
+    # digit path of _pack) included
+    for k in [FiniteFieldParams(257)] + LARGE_FIELDS:
+        tables = _field_tables(k)
+        x, y = k.order - 1, k.order // 2
+        assert tables.add[x][y] == k.add(x, y) and tables.mul[x][y] == k.mul(x, y)
+        assert tables.neg[x] == k.neg(x) and tables.frob[x] == k.frobenius(x)
+        assert tables.digits[2][x] == b"".join(d.to_bytes(2, "little") for d in k.digits(x))
+        assert [len(t) for t in (tables.add, tables.mul, tables.neg, tables.frob,
+                                 tables.digits)] == [0] * 5
+    # F_p with p <= 256 takes the inline mod-p path and builds no record
+    _field_tables.cache_clear()
+    k, a = FiniteFieldParams(2), {0: 1, 3: 1, 4: 1}
+    series_neg(k, series_add(k, a, series_scale(k, a, 1)))
+    series_frobenius(k, series_invert(k, series_mul(k, a, a, 40), 40), 40)
+    series_substitute(k, a, 3, 40)
+    assert _field_tables.cache_info().currsize == 0
 
 
 # F_289, F_512 and F_65536 compute c^p per term; F_4, F_8, F_9 and F_25 read a table
@@ -140,22 +165,34 @@ def test_series_frobenius_matches_per_term_gf(k):
                                            if k.p * e < top}
 
 
-def test_series_frobenius_keeps_nothing_per_coefficient_above_the_table_order():
-    k = FiniteFieldParams(2, 16)
+# Each call over F_65536 looks up about 3,000 distinct coefficients: a
+# lookup kept per coefficient would hold far more than 16 KB afterwards.
+KEEPS_NOTHING = {
+    "series_add": lambda k, a, b: series_add(k, a, b),
+    "series_neg": lambda k, a, b: series_neg(k, a),
+    "series_scale": lambda k, a, b: series_scale(k, a, b[0]),
+    "_shift_scale": lambda k, a, b: _shift_scale(k, {1: b[0]}, a, len(a) + 1),
+    "series_invert": lambda k, a, b: series_invert(k, {0: a[0], 1: b[0]}, len(a)),
+    "series_frobenius": lambda k, a, b: series_frobenius(k, a, k.p * len(a)),
+    "_pack": lambda k, a, b: _pack(k, a, 0, 2),
+}
+
+
+@pytest.mark.parametrize("kernel", KEEPS_NOTHING)
+def test_kernels_keep_nothing_per_coefficient_above_the_table_order(kernel):
+    k, call = FiniteFieldParams(2, 16), KEEPS_NOTHING[kernel]
     rng = random.Random(16)
     a = {e: rng.randrange(1, k.order) for e in range(3000)}
-    series_frobenius(k, {0: 1}, 1)  # builds what is kept once per field
+    b = {e: rng.randrange(1, k.order) for e in range(3000)}
+    _field_tables.cache_clear()  # no entry left by an earlier case
+    call(k, {0: 1, 1: 2}, {0: 3, 1: 4})  # builds what is kept once per field
     tracemalloc.start()
     try:
-        series_frobenius(k, a, 2 * 3000)
+        call(k, a, b)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < 16384, kept  # about 2,900 distinct coefficients: a memo would hold 200 KB
-    # at or below the order, the table stays: tstar_deep's F_4 draws read it
-    small = FiniteFieldParams(2, 2)
-    series_frobenius(small, {0: 2, 1: 3}, 4)
-    assert {2, 3} <= _frobenius_table(small).keys()
+    assert kept < 16384, kept
 
 
 def test_pack_writes_each_digit_in_its_slot():
