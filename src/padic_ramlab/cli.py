@@ -299,7 +299,7 @@ def _suite_gamma_power(args):
     checks = 0
     for _ in range(count):
         rank = rng.choice([1, 2])
-        height = rng.choice([0, 1, 2])
+        height = rng.choice([h for h in (0, 1, 2) if (p - 1) * h < trunc])
         module = wach.random_module(rng, p, rank, height, trunc)
         s = 0
         while p**s + module.height_exponent < trunc:

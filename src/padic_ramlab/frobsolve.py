@@ -60,7 +60,7 @@ from .gf import FiniteFieldParams
 from .qring import (PackedMatrix, exponent_modulus, gamma_q, series_add, series_frobenius,
                     series_matmul, series_scale)
 from .tiltring import RingSpec, ValuedTrunc, _divide, galois_act
-from .wach import embed_twisted, mat_inverse_unit, mat_map, mat_mul, specialize
+from .wach import embed_twisted, mat_inverse_unit, mat_mul, specialize
 
 __all__ = [
     "SolverParams",
@@ -700,7 +700,8 @@ def galois_act_jc(module, vec, power=1):
     spec, u = vec.spec, module.u_g
     T = exponent_modulus(module.params.p, module.trunc)
     u_inv = pow(u, -1, T) if T > 1 else 1
-    H_t = mat_map(lambda e: embed_twisted(gamma_q(e, u_inv), spec), mat_inverse_unit(module.G))
+    H_t = tuple(tuple(embed_twisted(gamma_q(e, u_inv), spec) for e in row)
+                for row in mat_inverse_unit(module.G))
     for _ in range(power):
         (moved,) = mat_mul((vec.entries,), H_t)
         vec = PhiVector(spec, tuple(galois_act(e, u) for e in moved))

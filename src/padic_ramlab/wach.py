@@ -20,7 +20,7 @@ The defining conditions checked here:
     basis vectors lands in (q-1)^(p^s) M (gamma_power_containment).
     In characteristic p it equals gamma^(p^s) - 1, so the check reads
     G_(p^s) - Id, with the matrix G_(p^s) of gamma^(p^s) built by
-    square-and-multiply in O(s log p) matrix products.
+    square-and-multiply in O(s log p) dict-matrix products below x^(p^s).
 
 specialize() pushes (F, V) into a truncated valued ring, giving the
 matrices the fixed-point solvers consume; it embeds and re-checks on
@@ -41,7 +41,7 @@ from .errors import (
     TruncationTooLow,
 )
 from .gf import FiniteFieldParams
-from .qring import QPoly, frobenius_q, gamma_q, invert_unit, try_divide
+from .qring import QPoly, frobenius_q, invert_unit, try_divide
 
 __all__ = [
     "WachModuleModP",
@@ -89,10 +89,6 @@ def mat_mul(A, B):
     product = qring.series_matmul(k, [[a.coeffs for a in row] for row in A],
                                   [[b.coeffs for b in row] for row in B], top)
     return tuple(tuple(map(wrap, row)) for row in product)
-
-
-def mat_map(fn, A):
-    return tuple(tuple(fn(a) for a in row) for row in A)
 
 
 def _scalar_mismatch(A, target):
@@ -339,38 +335,44 @@ def verify_gamma(module):
     (b) G * gamma(F) = F * phi(G), the semilinear commutation of the
         generator with Frobenius.  A failure of (b) alone is reported
         separately rather than rejecting the module.
+    Both read the coefficient dicts of F and G: series_substitute,
+    series_frobenius, two series_matmul and one dict comparison.
     """
     if module.G is None:
         raise ValueError("module carries no Galois generator matrix")
-    trivial = all(g.constant_term() == (1 if i == j else 0)
-                  for i, row in enumerate(module.G) for j, g in enumerate(row))
-    gamma_F = mat_map(lambda a: gamma_q(a, module.u_g), module.F)
-    phi_G = mat_map(frobenius_q, module.G)
-    lhs = mat_mul(module.G, gamma_F)
-    rhs = mat_mul(module.F, phi_G)
-    commutes = lhs == rhs
+    k, N = module.params, module.trunc
+    G, F = ([[a.coeffs for a in row] for row in M] for M in (module.G, module.F))
+    trivial = all(g.get(0, 0) == (i == j) for i, row in enumerate(G) for j, g in enumerate(row))
+    gamma_F = [[qring.series_substitute(k, a, module.u_g, N) for a in row] for row in F]
+    phi_G = [[qring.series_frobenius(k, g, N) for g in row] for row in G]
+    commutes = qring.series_matmul(k, G, gamma_F, N) == qring.series_matmul(k, F, phi_G, N)
     return GammaReport(trivial_mod_q1=trivial, commutes_with_phi=commutes)
 
 
-def _gamma_power(module, n):
-    """G_n, whose columns are the images of the basis under gamma^n (n >= 1).
+def _gamma_power(module, n, top):
+    """The dict matrix of gamma^n (n >= 1), cut below top.
 
-    gamma^a is the substitution by u^a on coefficients, so
-    G_(a+b) = G_a * gamma_(u^a)(G_b) with G_1 = G.  Square-and-multiply
-    over the bits of n: each step is one mat_mul and one gamma_q map,
-    at an exponent reduced mod the exponent modulus (still a unit).
+    gamma^a is the substitution by u^a, so G_(a+b) = G_a * gamma_(u^a)(G_b)
+    with G_1 = G: square-and-multiply over the bits of n, each step one
+    series_matmul over substituted entries, u^a mod p times the exponent
+    modulus of top (still a unit).  The cut is exact: it commutes with sums,
+    products and each substitution x -> (1+x)^u - 1, u prime to p, which
+    has valuation 1 and so maps x^top k[[x]] into itself.
     """
-    u, modulus = module.u_g, qring.exponent_modulus(module.params.p, module.trunc)
+    k = module.params
+    u, modulus = module.u_g, k.p * qring.exponent_modulus(k.p, top)
+    G = [[{e: c for e, c in g.coeffs.items() if e < top} for g in row] for row in module.G]
 
     def step(A, a, B):
         u_a = pow(u, a, modulus)
-        return mat_mul(A, mat_map(lambda b: gamma_q(b, u_a), B))
+        B = [[qring.series_substitute(k, b, u_a, top) for b in row] for row in B]
+        return qring.series_matmul(k, A, B, top)
 
-    X, m = module.G, 1
+    X, m = G, 1
     for bit in bin(n)[3:]:
         X, m = step(X, m, X), 2 * m
         if bit == "1":
-            X, m = step(module.G, 1, X), m + 1
+            X, m = step(G, 1, X), m + 1
     return X
 
 
@@ -378,14 +380,14 @@ def gamma_power_containment(module, s):
     """Check (gamma - 1)^(p^s) e_j is divisible by (q-1)^(p^s) for all j.
 
     In characteristic p, (gamma - 1)^(p^s) = gamma^(p^s) - 1, so the
-    check reads the valuations of G_(p^s) - Id, with G_(p^s) built by
-    square-and-multiply (_gamma_power): O(s log p) matrix products, not
-    p^s applications of gamma - 1.  Each application of gamma - 1
-    consumes one factor q(q-1)^p, so the truncation floor is
-    N > p^s + (p-1)i; below it a failure could be a truncation artifact.
-    For s >= 1 the statement needs the generator exponent to lie in
-    1 + pZ (the standard wild generator); other units only satisfy the
-    s = 0 statement.
+    check reads G_(p^s) = Id mod x^(p^s), with G_(p^s) built by
+    square-and-multiply below p^s, not N (_gamma_power, whose cut is
+    exact, so the verdict is the one at N): O(s log p) products, not p^s
+    applications of gamma - 1.  Each application of gamma - 1 consumes
+    one factor q(q-1)^p, so the truncation floor is N > p^s + (p-1)i;
+    below it a failure could be a truncation artifact.  For s >= 1 the
+    statement needs the generator exponent to lie in 1 + pZ (the standard
+    wild generator); other units only satisfy the s = 0 statement.
     """
     if module.G is None:
         raise ValueError("module carries no Galois generator matrix")
@@ -403,10 +405,7 @@ def gamma_power_containment(module, s):
             "containment only applies to the wild generator",
             precondition="u_G = 1 (mod p) for s >= 1",
         )
-    one = QPoly.one(module.params, module.trunc)
-    minus_id = (g - one if i == j else g
-                for i, row in enumerate(_gamma_power(module, power)) for j, g in enumerate(row))
-    return all(a.is_zero() or a.valuation() >= power for a in minus_id)
+    return _scalar_mismatch(_gamma_power(module, power, power), {0: 1}) is None
 
 
 def _twisted_embedding(k, trunc, spec):

@@ -9,7 +9,9 @@ of the integral that defines it.  The height witness is recomputed by the
 cofactor determinant and adjugate over k[[x]]/x^N, a route that shares
 only the series arithmetic with the elimination in wach.  The Galois
 containment is recomputed by applying gamma - 1 p^s times, where the
-library squares and multiplies gamma's matrix.  T* is
+library squares and multiplies gamma's matrix below p^s, and the
+commutation G gamma(F) = F phi(G) by schoolbook products and Horner
+substitution.  T* is
 recomputed by lifting each of its p^r candidates alone, where the
 solver lifts only a basis of r of them.
 """
@@ -107,6 +109,19 @@ def gamma_minus_one(module, X):
     k = module.params
     return [[{e: c for e in m.keys() | a.keys() if (c := k.add(m.get(e, 0), k.neg(a.get(e, 0))))}
              for m, a in zip(m_row, x_row)] for m_row, x_row in zip(gamma_of(module, X), X)]
+
+
+def gamma_commutation(module):
+    """(G = Id mod x, G gamma(F) = F phi(G)) by schoolbook products,
+    Horner substitution by u_G itself and the Frobenius c x^e -> c^p x^(p e)
+    one term at a time."""
+    k, top = module.params, module.trunc
+    F, G = ([[a.coeffs for a in row] for row in M] for M in (module.F, module.G))
+    trivial = all(g.get(0, 0) == (r == c) for r, row in enumerate(G) for c, g in enumerate(row))
+    gamma_F = [[horner_substitute(k, a, module.u_g, top) for a in row] for row in F]
+    phi_G = [[{k.p * e: k.pow(c, k.p) for e, c in g.items() if k.p * e < top} for g in row]
+             for row in G]
+    return trivial, schoolbook_matmul(k, G, gamma_F, top) == schoolbook_matmul(k, F, phi_G, top)
 
 
 def gamma_images_by_iteration(module, n):

@@ -143,6 +143,14 @@ def test_verify_suites_pass(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("p", [11, 13, 17])
+def test_verify_gamma_power_draws_heights_below_the_truncation(capsys, p):
+    # a height i with (p-1)i >= 16 would ask random_module for x^((p-1)i) at N = 16
+    code, out, err = run(capsys, "verify", "gamma-power", "-p", str(p))
+    assert (code, err) == (0, "")
+    assert parse(out)["ok"] is True
+
+
 def test_verify_text_format_prints_one_line_per_check(capsys):
     code, out, _ = run(capsys, "verify", "tate-exclusion", "--format", "text")
     assert code == 0

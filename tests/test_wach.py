@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_ramlab import wach
+from padic_ramlab import qring
 from padic_ramlab.errors import HeightExceeded, ParamMismatch, RegimeViolation, TruncationTooLow
 from padic_ramlab.gf import FiniteFieldParams
 from padic_ramlab.qring import QPoly, parse_terms
@@ -28,7 +28,7 @@ from padic_ramlab.wach import (
     verify_height,
 )
 from .oracles import (cofactor_height_witness, cofactor_inverse_unit, containment_by_iteration,
-                      gamma_images_by_iteration, gamma_minus_one)
+                      gamma_commutation, gamma_images_by_iteration, gamma_minus_one)
 
 K2 = FiniteFieldParams(2)
 K3 = FiniteFieldParams(3)
@@ -207,6 +207,50 @@ def test_standard_rank1_gamma_satisfies_both_conditions():
         assert rep.commutes_with_phi, (p, i, u)
 
 
+def _gamma_draw(rng):
+    """A module with a Galois generator over F_(p^f), f <= 3, rank <= 3:
+    a fifth of the time a random module with an arbitrary G, else a
+    direct sum of standard rank-1 modules with one u (G commutes with
+    Frobenius), 40% of these with one entry of G or F moved by c x^e."""
+    p, f, d = rng.choice([2, 3, 5, 7]), rng.randint(1, 3), rng.randint(1, 3)
+    N = rng.choice([8, 12])
+    k = FiniteFieldParams(p, f)
+    if rng.random() < 0.2:
+        M = random_module(rng, p, d, rng.choice([h for h in range(3) if (p - 1) * h < N]), N, f=f)
+        G = tuple(tuple(QPoly(k, N, {e: rng.randrange(k.order) for e in range(N)
+                                     if rng.random() < 0.3}) for _ in range(d)) for _ in range(d))
+        return dataclasses.replace(M, G=G, u_g=rng.choice([u for u in range(1, 3 * p) if u % p]))
+    u = rng.choice([u for u in range(2, 3 * p) if u % p])
+    blocks = [make_rank1_module(p, rng.choice([i for i in range(3) if (p - 1) * i < N]), f=f,
+                                trunc=N, with_gamma=True, u=u) for _ in range(d)]
+    zero = QPoly.zero(k, N)
+    F, G = ([[getattr(blocks[r], name)[0][0] if r == c else zero for c in range(d)]
+             for r in range(d)] for name in ("F", "G"))
+    if rng.random() < 0.4:
+        moved = rng.choice([F, G])
+        r, c = rng.randrange(d), rng.randrange(d)
+        term = QPoly.monomial(k, N, rng.randrange(N), rng.randrange(1, k.order))
+        moved[r][c] = moved[r][c] + term
+    return mk(k, N, d, max(b.height for b in blocks), tuple(map(tuple, F)),
+              G=tuple(map(tuple, G)), u_g=u)
+
+
+def test_verify_gamma_matches_schoolbook_oracle():
+    # both verdicts against G gamma(F) and F phi(G) by schoolbook products,
+    # Horner substitution by u_G itself and a c^p Frobenius term by term
+    rng = random.Random(19)
+    reports = []
+    for _ in range(240):
+        M = _gamma_draw(rng)
+        rep = verify_gamma(M)
+        assert (rep.trivial_mod_q1, rep.commutes_with_phi) == gamma_commutation(M), M
+        reports.append(rep)
+    commutes = [rep.commutes_with_phi for rep in reports]
+    trivial = [rep.trivial_mod_q1 for rep in reports]
+    assert commutes.count(True) >= 50 and commutes.count(False) >= 50
+    assert trivial.count(True) >= 50 and trivial.count(False) >= 20
+
+
 def test_gamma_power_containment_examples():
     # d=1, G=q, p=2, s=1
     M = mk(K2, 8, 1, 0, ((QPoly.one(K2, 8),),), G=((QPoly.q(K2, 8),),), u_g=3)
@@ -256,10 +300,12 @@ def test_iterate_step_sends_xj_to_xjplus1():
                     assert min(a, default=N) >= j + 1
 
 
-def _containment_draw(rng):
-    """A random module, or (half the time) one with an arbitrary G that
-    is not Id mod x and an arbitrary unit exponent; and its levels s."""
-    p, f, d, N = rng.choice([2, 3, 5]), rng.choice([1, 2]), rng.randint(1, 3), rng.choice([4, 8, 16])
+def _containment_draw(rng, fields=(1, 2)):
+    """A random module over F_(p^f), f in fields, or (half the time) one
+    with an arbitrary G that is not Id mod x and an arbitrary unit
+    exponent; and its levels s."""
+    p, f, d = rng.choice([2, 3, 5]), rng.choice(fields), rng.randint(1, 3)
+    N = rng.choice([4, 8, 16])
     height = rng.choice([h for h in range(3) if (p - 1) * h + 1 < N])
     M = random_module(rng, p, d, height, N, f=f)
     if rng.random() < 0.5:
@@ -277,19 +323,23 @@ def _containment_draw(rng):
     return M, levels
 
 
+def _minus_identity(k, X):
+    """X - Id on a dict matrix."""
+    return [[qring.series_add(k, a, {0: k.neg(1)}) if r == c else a for c, a in enumerate(row)]
+            for r, row in enumerate(X)]
+
+
 def test_containment_matches_iteration_oracle():
     # gamma^(p^s) - Id by square-and-multiply equals (gamma - 1)^(p^s) Id
-    # applied p^s times, entry by entry, and so does the verdict
+    # applied p^s times, entry by entry at full N, and so does the verdict
     rng = random.Random(16)
     verdicts = []
     for _ in range(300):
         M, levels = _containment_draw(rng)
-        one = QPoly.one(M.params, M.trunc)
         for s in levels:
             expected, X = containment_by_iteration(M, s)
-            got = [[(g - one if r == c else g).coeffs for c, g in enumerate(row)]
-                   for r, row in enumerate(_gamma_power(M, M.params.p**s))]
-            assert got == X, (M, s)
+            got = _gamma_power(M, M.params.p**s, M.trunc)
+            assert _minus_identity(M.params, got) == X, (M, s)
             verdicts.append(gamma_power_containment(M, s))
             assert verdicts[-1] == expected, (M, s)
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
@@ -301,8 +351,42 @@ def test_gamma_power_matches_repeated_gamma_off_powers_of_p():
         M, _ = _containment_draw(rng)
         p = M.params.p
         n = rng.choice([n for n in range(2, 14) if n not in {p**e for e in range(4)}])
-        got = [[g.coeffs for g in row] for row in _gamma_power(M, n)]
-        assert got == gamma_images_by_iteration(M, n), (M, n)
+        assert _gamma_power(M, n, M.trunc) == gamma_images_by_iteration(M, n), (M, n)
+
+
+def test_gamma_power_below_top_is_the_full_result_cut_below_top():
+    # the containment runs G_(p^s) below top = p^s: at every top <= N the
+    # product of the cut factors is the full-N product cut below top
+    rng = random.Random(18)
+    for _ in range(60):
+        M, _ = _containment_draw(rng, fields=(1, 2, 3))
+        n = rng.randint(1, 2 * M.params.p**2)
+        full = _gamma_power(M, n, M.trunc)
+        for top in range(1, M.trunc + 1):
+            cut = [[{e: c for e, c in a.items() if e < top} for a in row] for row in full]
+            assert _gamma_power(M, n, top) == cut, (M, n, top)
+
+
+def test_containment_verdict_reads_index_p_to_the_s_minus_one():
+    # G = [[1, b], [0, 1]] + x (terms below x^4), not Id mod x: G_(p^s) - Id
+    # of valuation exactly p^s - 1 must fail and exactly p^s must pass, the
+    # edge of the cut at p^s
+    rng = random.Random(20)
+    edges = []
+    for _ in range(300):
+        p, N = rng.choice([2, 3]), 12
+        k = FiniteFieldParams(p)
+        G = tuple(tuple(QPoly(k, N, {0: (r == c) + (r < c) * rng.randrange(1, p),
+                                     **{e: rng.randrange(p) for e in range(1, 4)
+                                        if rng.random() < 0.5}})
+                        for c in range(2)) for r in range(2))
+        M = mk(k, N, 2, 0, mat_identity(k, N, 2), G=G, u_g=1 + p)
+        for s in (1, 2):
+            if p**s < N:
+                expected, X = containment_by_iteration(M, s)
+                assert gamma_power_containment(M, s) == expected, (M, s)
+                edges.append(min((min(a) for row in X for a in row if a), default=N) - p**s)
+    assert edges.count(-1) >= 50 and edges.count(0) >= 50
 
 
 @pytest.mark.parametrize("p, s", [(2, 4), (3, 2)])
@@ -310,11 +394,12 @@ def test_containment_takes_logarithmically_many_products(monkeypatch, p, s):
     # the direct iteration takes p^s products: 16 and 9 here
     M = random_module(random.Random(p), p, 2, 1, p**s + p + 4)
     calls = []
+    series_matmul = qring.series_matmul
 
-    def counted(A, B):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return mat_mul(A, B)
-    monkeypatch.setattr(wach, "mat_mul", counted)
+        return series_matmul(*args, **kwargs)
+    monkeypatch.setattr(qring, "series_matmul", counted)
     assert gamma_power_containment(M, s)
     assert 0 < len(calls) <= 2 * (p**s).bit_length()
 
