@@ -21,12 +21,12 @@ contraction_lift is the one-row case.
 
 Inside, the solver runs on the series engine of qring: a row is a
 sequence of coefficient dicts, a valuation is a least monomial index m
-(ring valuation m/D), and the thresholds of SolverParams are integers
-over D (index_bounds, computed once per denominator).  The views
-(PhiVector, ValuedTrunc) are read once, at entry (x0, and F_t, V_t,
-which specialize builds from dicts only to return them), and built
-once, for results (solutions, JcSet elements) and error texts.  F and
-V are PackedMatrix, packed once per slot width for every product of
+(ring valuation m/D), and the thresholds a, b of SolverParams are
+integer multiples of the index of the image of q - 1 (index_bounds).
+The views (PhiVector, ValuedTrunc) are read once, at entry (x0, and
+F_t, V_t, which specialize builds from dicts only to return them), and
+built once, for results (solutions, JcSet elements) and error texts.  F
+and V are PackedMatrix, packed once per slot width for every product of
 the candidate search, the lift and the final check.
 
 The lift does not recompute each defect in full.  The truncated
@@ -136,23 +136,17 @@ class SolverParams:
         """Ring valuation of the working cut c_work."""
         return self.c_work * self.ring_scale
 
-    @functools.cached_property
-    def _index_bounds(self):
-        return {}
-
-    def index_bounds(self, denominator):
-        """The thresholds over monomial indices of a ring of denominator
-        D (index m has ring valuation m/D), as integers (defect,
-        correction, gain): m/D <= defect_floor iff m <= defect,
-        m/D <= correction_floor iff m <= correction, and an index gain g
-        is below h iff g < gain.  Computed once per denominator."""
-        bounds = self._index_bounds.get(denominator)
-        if bounds is None:
-            D = denominator
-            bounds = self._index_bounds[D] = (
-                math.floor(self.defect_floor * D), math.floor(self.correction_floor * D),
-                math.ceil(self.h * D))
-        return bounds
+    def index_bounds(self, spec):
+        """The thresholds over the monomial indices m of the ring of spec
+        (ring valuation m/D), as integers (defect, correction, gain):
+        m <= defect iff m/D <= defect_floor, likewise for correction, and
+        an index gain g is below h iff g < gain.  The first two are exact,
+        p i e and i e for e = spec.embed_exponent, the index of the image
+        of q - 1, since scale * D = (p-1) e in both modes (tilt: scale 1,
+        D = p^(N-1)(p-1), e = p^(N-1); untilted: scale p^-s, D = p^s(p-1),
+        e = 1).  Their difference (p-1) i e indexes the lift's divisor."""
+        e = spec.embed_exponent
+        return self.p * self.i * e, self.i * e, math.ceil(self.h * spec.denominator)
 
     @property
     def restarts_at_b(self):
@@ -230,10 +224,6 @@ class SolverParams:
             D = spec.denominator
             cut = max(spec.cut, min(cut, Fraction(D - 1, D)))
         return spec.with_cut(cut)
-
-    def div_exp(self, spec):
-        """Monomial index of the scaling element, of ring valuation i*scale."""
-        return int(self.i * self.ring_scale * spec.denominator)
 
 
 # -- vectors ------------------------------------------------------------------
@@ -393,12 +383,16 @@ def enumerate_jc(module, spec, budget):
 # -- contraction lifting ------------------------------------------------------
 
 def _lift_setup(module, spec, params):
-    """params (the defaults of spec if None) checked against the ring of
-    spec, its working ring, and the module's F, V specialized there, as
-    PackedMatrix: every product by them packs their entries once per
-    slot width."""
+    """params (the defaults of spec if None) checked against the module
+    and the ring of spec, its working ring, and the module's F, V
+    specialized there, as PackedMatrix: every product by them packs
+    their entries once per slot width."""
     if params is None:
         params = SolverParams.for_spec(module.params.p, module.height, spec)
+    if (params.p, params.i) != (module.params.p, module.height):
+        raise ParamMismatch(f"params have p = {params.p}, i = {params.i}; the module has "
+                            f"p = {module.params.p}, i = {module.height}",
+                            precondition="params p, i = the module's p, height")
     params.check_ring(spec)
     spec_int = params.working_spec(spec)
     F, V = (PackedMatrix(spec.params, _dicts(spec_int, M))
@@ -427,7 +421,7 @@ def contraction_lift(module, spec, x0, params=None):
         m = _index(_defect_rows(spec.params, [start], F, spec_int.m_max + 1)[0])
         input_defect = math.inf if m == math.inf else spec.monomial_val(m)
         params.check_defect(input_defect)
-        start = _truncate(start, params.index_bounds(spec.denominator)[1])
+        start = _truncate(start, params.index_bounds(spec)[1])
     # _contract checks the correction from start; from x0 it is the same
     # check, since start and x0 agree up to b
     ((row, transcript),) = _contract(spec, params, F, V, [start], [((1,), start)])
@@ -479,12 +473,12 @@ def _contract(spec, params, F, V, basis, candidates):
     from views at entry and wrap as views for their results.  A valuation
     is a least monomial index m, of ring valuation m/D, and the
     thresholds are the integers of SolverParams.index_bounds; a Fraction
-    is built only for a transcript and for an error text.
+    is built only for a transcript and for an error text.  Each step
+    divides by u^(defect - correction), the image of (q-1)^((p-1)i).
     """
     spec_int = params.working_spec(spec)
-    k, top, D, last = spec.params, spec_int.m_max + 1, spec.denominator, spec.m_max
-    d, shift = len(F), params.div_exp(spec)
-    defect_floor, correction_floor, gain = params.index_bounds(D)
+    k, top, D, last, d = spec.params, spec_int.m_max + 1, spec.denominator, spec.m_max, len(F)
+    defect_floor, correction_floor, gain = params.index_bounds(spec)
     valuation = functools.cache(lambda m: m if m == math.inf else Fraction(m, D))
     Q = _defect_rows(k, basis, F, top)
     least = min(map(_index, Q), default=math.inf)
@@ -494,7 +488,7 @@ def _contract(spec, params, F, V, basis, candidates):
     Y = [({},) * d] * len(basis)
     record = [(defects, Y)]
     while any(map(any, defects)) and len(record) <= (top - 1 - least) // gain + 1:
-        Y = _contraction_step(k, S, V, top, shift)
+        Y = _contraction_step(k, S, V, top, defect_floor - correction_floor)
         S = [[series_add(k, q, series_frobenius(k, y, top)) for q, y in zip(qs, ys)]
              for qs, ys in zip(Q, Y)]
         defects = series_matmul(k, Y, F, top, C=S)
@@ -587,7 +581,7 @@ def _candidate_space(spec, params, F, budget):
     """
     k = spec.params
     p, f, d = k.p, k.f, len(F)
-    last_a, last_b, _ = params.index_bounds(spec.denominator)
+    last_a, last_b, _ = params.index_bounds(spec)
     slots = last_b + 1
     unknowns, equations = d * slots * f, d * (last_a + 1) * f
     if unknowns * equations > KERNEL_CELLS:
@@ -647,7 +641,7 @@ def compute_tstar(module, spec, budget, params=None):
     rank = len(basis)
     lifted = _contract(spec, params, F, V, basis, candidates)
     rows = [x for x, _ in lifted]
-    last_b = params.index_bounds(spec.denominator)[1]
+    last_b = params.index_bounds(spec)[1]
     for (_, x0), x, defect in zip(candidates, rows,
                                   _defect_rows(spec.params, rows, F, spec.m_max + 1)):
         if any(defect) or _truncate(x, last_b) != x0:

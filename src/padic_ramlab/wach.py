@@ -438,15 +438,13 @@ def specialize(module, spec):
         return (), ()
     k = module.params
     embed = _twisted_embedding(k, module.trunc, spec)
-    try:
-        tiltring._embedding(k, witness.slack, spec)
-    except CapacityExceeded:
+    if witness.slack * spec.embed_exponent <= spec.m_max:
         raise CapacityExceeded(
             f"module truncation N={module.trunc} certifies the height witness V only to "
             f"truncation {witness.slack} = N - max(sum h_j, (p-1)i), which does not "
             f"determine its image up to the target cut {spec.cut}",
             precondition="(N - max(sum h_j, (p-1)i)) * val(image of q-1) > cut",
-        ) from None
+        )
     F_t, V_t = ([[embed(a.coeffs) for a in row] for row in M] for M in (module.F, witness.V))
     target = module.height_exponent * spec.embed_exponent
     FV = qring.series_matmul(k, F_t, V_t, spec.m_max + 1)

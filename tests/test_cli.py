@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -375,3 +378,74 @@ def test_negative_count_or_bound_is_rejected(capsys, argv, option):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert f"argument {option}: " in err and "is negative" in err
+
+
+def demo_with_gamma(tmp_path, G):
+    """demos/modules/rank1_p3_i1.json with its Galois matrix replaced by G."""
+    doc = json.loads((ROOT / "demos/modules/rank1_p3_i1.json").read_text())
+    doc["G"] = [[G]]
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_solve_warns_when_gamma_does_not_commute_with_phi(tmp_path, capsys):
+    # 1 + x is trivial mod (q-1) but fails G gamma(F) = F phi(G)
+    path = demo_with_gamma(tmp_path, "1*x^0 + 1*x^1")
+    code, out, err = run(capsys, "solve", path, "--depth", "1")
+    assert code == 0 and parse(out)["results"]["rank"] == 1
+    assert err == "warning: gamma/phi commutation fails at this truncation\n"
+
+
+def test_solve_rejects_gamma_not_trivial_mod_q_minus_1(tmp_path, capsys):
+    path = demo_with_gamma(tmp_path, "2*x^0")
+    code, out, err = run(capsys, "solve", path, "--depth", "1")
+    assert code == 2 and not out
+    assert err == ("error: module rejected: Galois matrix is not trivial mod (q-1) "
+                   "[requires: G = Id mod (q-1)]\n")
+    code, out, err = run(capsys, "solve", path, "--depth", "1", "--skip-verify")
+    assert (code, err) == (0, "") and parse(out)["results"]["rank"] == 1
+
+
+def test_verify_gamma_power_counts_every_failed_containment(capsys, monkeypatch):
+    calls = []
+
+    def fails(module, s):
+        calls.append(s)
+        return False
+    monkeypatch.setattr(wach, "gamma_power_containment", fails)
+    code, out, _ = run(capsys, "verify", "gamma-power", "-p", "3", "--count", "5")
+    assert code == 1
+    doc = parse(out)
+    assert doc["ok"] is False
+    (item,) = doc["results"]["items"]
+    assert item["failures"] == len(calls) > 0
+    assert item["check"] == f"containment on 5 random modules ({len(calls)} cases)"
+
+
+def test_grid_and_herbrand_text_lines(capsys):
+    code, out, _ = run(capsys, "grid", "--plist", "3", "--imax", "2", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["p=3 i=1 alpha=1 crystalline=2 semistable=5/2",
+                                "p=3 i=2 alpha=2 crystalline=3 semistable=7/2"]
+    code, out, _ = run(capsys, "herbrand", "cyclotomic", "-p", "3", "-n", "2", "--mu",
+                       "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["order=6; (lambda=1/1, size=3); (lambda=3/1, size=1)",
+                                "phi: (0/1, 0/1) (1/1, 1/1) (3/1, 2/1); final_slope=1/6",
+                                "mu = 2"]
+
+
+@pytest.mark.parametrize("p,code", [("3", 0), ("4", 2)])
+def test_module_entry_point_runs_as_a_process(p, code):
+    # python -m padic_ramlab.cli goes through entrypoint's SystemExit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "padic_ramlab.cli", "bound", "-p", p, "-i", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code
+    if code == 0:
+        assert done.stderr == "" and json.loads(done.stdout)["results"]["crystalline"] == \
+            {"num": 2, "den": 1}
+    else:
+        assert (done.stdout, done.stderr) == ("", "error: p = 4 is not prime\n")

@@ -41,7 +41,7 @@ from padic_ramlab.wach import (
     specialize,
 )
 
-from .oracles import fp_closed, lift_each_candidate
+from .oracles import fp_closed, lift_each_candidate, schoolbook_matmul
 
 K2 = FiniteFieldParams(2)
 K3 = FiniteFieldParams(3)
@@ -688,24 +688,25 @@ def test_batched_lift_iterates_without_the_view_layer(monkeypatch):
 # -- integer thresholds ---------------------------------------------------------
 
 def solver_regimes():
-    """(params, D) over p in {2,3,5,7}, i <= 3, tilt depth 1-2 and the
+    """(params, spec) over p in {2,3,5,7}, i <= 3, tilt depth 1-2 and the
     two least untilted levels with p^s > a."""
     for p in (2, 3, 5, 7):
         K = FiniteFieldParams(p)
         for i in range(4):
             for depth in (1, 2):
                 spec = RingSpec(K, "tilt", depth, 1)
-                yield SolverParams.for_spec(p, i, spec), spec.denominator
+                yield SolverParams.for_spec(p, i, spec), spec
             for extra in (0, 1):
                 s = untilted_level(p, i, extra)
                 params = SolverParams.for_untilted(p, i, s)
-                yield params, p**s * (p - 1)
+                yield params, RingSpec(K, "untilted", s, params.working_floor)
 
 
 def test_index_bounds_match_the_fraction_predicates():
     count = 0
-    for params, D in solver_regimes():
-        defect, correction, gain = params.index_bounds(D)
+    for params, spec in solver_regimes():
+        D = spec.denominator
+        defect, correction, gain = params.index_bounds(spec)
         last = math.floor(params.working_floor * D) + D
         for m in range(last + 1):
             assert (m <= defect) == (Fraction(m, D) <= params.defect_floor)
@@ -714,6 +715,31 @@ def test_index_bounds_match_the_fraction_predicates():
             assert (g < gain) == (Fraction(g, D) < params.h)
         count += 1
     assert count == 4 * 4 * 4
+
+
+def test_scaling_index_is_the_height_exponent_times_the_embedding_exponent():
+    # the lift divides by u^(defect - correction): at the working ring,
+    # whose cut is raised by i, that is F_t V_t, the image of
+    # (q-1)^((p-1)i), and it lies below the cut
+    rng = random.Random(2417)
+    modes = collections.Counter()
+    for _ in range(80):
+        module, spec, params = random_differential_case(rng)
+        defect, correction, _ = params.index_bounds(spec)
+        shift = defect - correction
+        assert shift == module.height_exponent * spec.embed_exponent
+        spec_int = params.working_spec(spec)
+        try:
+            F, V = (_dicts(spec_int, M) for M in specialize(module, spec_int))
+        except CapacityExceeded:  # V is certified below N - sum h_j only
+            continue
+        assert shift <= spec_int.m_max
+        assert schoolbook_matmul(spec.params, F, V, spec_int.m_max + 1) == \
+            [[{shift: 1} if r == c else {} for c in range(module.rank)]
+             for r in range(module.rank)]
+        modes[spec.mode, module.height] += 1
+    assert {mode for mode, _ in modes} == {"tilt", "untilted"}
+    assert all(modes[mode, i] for mode in ("tilt", "untilted") for i in (0, 1, 2)), modes
 
 
 @pytest.mark.parametrize("p,mode,level,message,precondition", [
@@ -760,7 +786,7 @@ def test_stalled_lift_stops_at_the_integer_bound(monkeypatch):
     start = ({4: 1},)
     top = spec_int.m_max + 1
     (defect,) = _defect_rows(K3, [start], F, top)
-    least, gain = min(defect[0]), params.index_bounds(spec.denominator)[2]
+    least, gain = min(defect[0]), params.index_bounds(spec)[2]
     steps = (top - 1 - least) // gain + 1
     assert steps == 2
     calls = count_contraction_steps(monkeypatch)

@@ -189,6 +189,32 @@ def test_the_cases_are_reachable_when_valid():
     assert len(compute_tstar_untilted(module, spec, BUDGET, params=params)) == 3
 
 
+@pytest.mark.parametrize("lift", [False, True], ids=["tstar", "lift"])
+@pytest.mark.parametrize("params,cut,message", [
+    (SolverParams.for_spec(3, 0, RingSpec(K3, "tilt", 1, 1)), 1,
+     "params have p = 3, i = 0; the module has p = 3, i = 1"),
+    (SolverParams(p=5, i=1, s=None, c_work=Fraction(9, 4)), Fraction(5, 2),
+     "params have p = 5, i = 1; the module has p = 3, i = 1"),
+], ids=["height", "prime"])
+def test_params_for_another_prime_or_height_are_refused(lift, params, cut, message):
+    # such params would divide by another power of the image of q - 1
+    # than the one specialize checks, and give a wrong T*
+    module = make_rank1_module(3, 1)
+    spec = RingSpec(K3, "tilt", 1, cut)
+    with pytest.raises(ParamMismatch) as err:
+        if lift:
+            lift_uniformizer(contraction_lift, module, spec, params)
+        else:
+            compute_tstar(module, spec, BUDGET, params=params)
+    assert (str(err.value), err.value.precondition) == \
+        (message, "params p, i = the module's p, height")
+    # the module's own T* has rank 1 and reduces to {0, u, 2u} at the cut
+    own = SolverParams.for_spec(3, 1, spec)
+    out = compute_tstar(module, spec.with_cut(own.c_work), BUDGET)
+    assert out.rank == 1
+    assert {x.reduce_to(cut) for x in out.solutions} == {vec(spec, {1: z}) for z in range(3)}
+
+
 @pytest.mark.parametrize("i,c_work,message", [
     (-1, Fraction(5, 2), "height i must be >= 0"),
     (1, Fraction(3, 2), "c_work = 3/2 must exceed a = 3/2"),
